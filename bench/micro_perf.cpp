@@ -1,6 +1,7 @@
 // Microbenchmarks for the hot paths: Neuk kernel-matrix construction and
 // backward pass, dense matmul/Cholesky, GP fit step, per-point vs batched GP
-// prediction, MACE proposal generation, MNA circuit evaluation and NSGA-II.
+// prediction, batched source-GP gradients (the KAT-GP source stage), MACE
+// proposal generation, MNA circuit evaluation and NSGA-II.
 //
 // Usage:
 //   micro_perf             human-readable table
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +35,7 @@
 #include "circuits/factory.hpp"
 #include "gp/gp.hpp"
 #include "kernel/neuk.hpp"
+#include "kernel/stationary.hpp"
 #include "linalg/cholesky.hpp"
 #include "moo/nsga2.hpp"
 #include "netlist/netlist_circuit.hpp"
@@ -131,6 +134,28 @@ la::Matrix random_points(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
+/// Pins KATO_THREADS for one scope and restores the caller's value on exit,
+/// so a row that fixes its thread count does not leak it into later rows.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) {
+    if (const char* prev = std::getenv("KATO_THREADS")) saved_ = prev;
+    set(value);
+  }
+  ~ThreadsEnv() {
+    if (saved_)
+      set(saved_->c_str());
+    else
+      unsetenv("KATO_THREADS");
+  }
+  ThreadsEnv(const ThreadsEnv&) = delete;
+  ThreadsEnv& operator=(const ThreadsEnv&) = delete;
+  void set(const char* value) { setenv("KATO_THREADS", value, 1); }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 volatile double g_sink = 0.0;
 
 void sink(double v) { g_sink = g_sink + v; }
@@ -210,9 +235,7 @@ int main(int argc, char** argv) {
     ref.use_workspace = false;
     gp::GpFitOptions fused = ref;
     fused.use_workspace = true;
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    ThreadsEnv threads("1");
     fit_ref_ms = bench(
         "gp_fit_ref_n192x12",
         [&] {
@@ -231,10 +254,6 @@ int main(int argc, char** argv) {
           sink(m.noise_var());
         },
         800.0);
-    if (prev_threads)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
     std::cout << "  -> fused fit speedup: " << fit_ref_ms / fit_ws_ms << "x\n";
   }
 
@@ -259,26 +278,20 @@ int main(int argc, char** argv) {
     multi.set_data(x, y);
     gp::GpFitOptions opts;
     opts.iterations = 6;
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    ThreadsEnv threads("1");
     multi_serial_ms = bench("multigp_fit_m4_threads1", [&] {
       auto m = multi;
       util::Rng fit_rng(25);
       m.fit(opts, fit_rng);
       sink(m.metric(0).noise_var());
     });
-    setenv("KATO_THREADS", "4", 1);
+    threads.set("4");
     multi_par_ms = bench("multigp_fit_m4_threads4", [&] {
       auto m = multi;
       util::Rng fit_rng(25);
       m.fit(opts, fit_rng);
       sink(m.metric(0).noise_var());
     });
-    if (prev_threads)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
     std::cout << "  -> multigp pool speedup: " << multi_serial_ms / multi_par_ms
               << "x\n";
   }
@@ -301,6 +314,52 @@ int main(int argc, char** argv) {
       sink(preds.front().mean);
     });
     std::cout << "  -> batched speedup: " << loop_ms / batch_ms << "x\n";
+  }
+
+  // KAT-GP source stage: one Adam step pushes a 128-point minibatch through
+  // each frozen source GP (RBF, n = 200, the transfer workload's shape) with
+  // input gradients.  kat_source_grad_speedup is the per-point
+  // predict_std_grad loop over the same block divided by the batched call;
+  // both arms run in this binary at one thread, so the ratio tracks the
+  // batched algebra (shared cross-covariance, blocked K^-1 contraction) and
+  // is floored by bench/compare_baseline.py.
+  double kat_loop_ms = 0.0;
+  double kat_batch_ms = 0.0;
+  {
+    const std::size_t n_queries = 128;
+    const std::size_t d = 8;
+    gp::GaussianProcess model(
+        std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, d));
+    const auto x = random_points(200, d, 31);
+    la::Vector y(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1) * x(i, 2);
+    model.set_data(x, y);
+    const auto q = random_points(n_queries, d, 32);
+    ThreadsEnv threads("1");
+    gp::GpPrediction pred;
+    la::Vector dm;
+    la::Vector dv;
+    std::vector<gp::GpPrediction> preds;
+    la::Matrix dmean;
+    la::Matrix dvar;
+    std::tie(kat_loop_ms, kat_batch_ms) = bench_ab(
+        "kat_source_grad_loop",
+        [&] {
+          double acc = 0.0;
+          for (std::size_t i = 0; i < n_queries; ++i) {
+            model.predict_std_grad(q.row(i), pred, dm, dv);
+            acc += pred.var + dv[0];
+          }
+          sink(acc);
+        },
+        "kat_source_grad_batch",
+        [&] {
+          model.predict_std_grad_batch(q, preds, dmean, dvar);
+          sink(preds.front().var + dvar(0, 0));
+        });
+    std::cout << "  -> kat source grad speedup: " << kat_loop_ms / kat_batch_ms
+              << "x (n=200, 128 queries)\n";
   }
 
   // MACE proposal generation over a fitted surrogate (the BO inner loop).
@@ -912,9 +971,7 @@ int main(int argc, char** argv) {
         v = std::clamp(v + 0.1 * (cand_rng.uniform() - 0.5), 0.0, 1.0);
       cands.push_back(std::move(cx));
     }
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved_threads = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    ThreadsEnv threads("1");
     const double batch_serial_ms = bench(
         "eval_batch_serial_q8",
         [&] {
@@ -926,7 +983,7 @@ int main(int argc, char** argv) {
           sink(acc);
         },
         600.0);
-    setenv("KATO_THREADS", "4", 1);
+    threads.set("4");
     const double batch_par_ms = bench(
         "eval_batch_threads4_q8",
         [&] {
@@ -934,10 +991,6 @@ int main(int argc, char** argv) {
           sink(ms[0] ? (*ms[0])[0] : 0.0);
         },
         600.0);
-    if (prev_threads)
-      setenv("KATO_THREADS", saved_threads.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
     eval_batch_speedup = batch_serial_ms / batch_par_ms;
     std::cout << "  -> eval batch speedup (4 threads): " << eval_batch_speedup
               << "x\n";
@@ -971,6 +1024,9 @@ int main(int argc, char** argv) {
     out << "  ],\n";
     out << "  \"gp_predict_batch_speedup\": "
         << (batch_ms > 0.0 ? loop_ms / batch_ms : 0.0) << ",\n";
+    out << "  \"kat_source_grad_batch_ms\": " << kat_batch_ms << ",\n";
+    out << "  \"kat_source_grad_speedup\": "
+        << (kat_batch_ms > 0.0 ? kat_loop_ms / kat_batch_ms : 0.0) << ",\n";
     out << "  \"gp_fit_speedup\": "
         << (fit_ws_ms > 0.0 ? fit_ref_ms / fit_ws_ms : 0.0) << ",\n";
     out << "  \"gp_fit_ref_ms\": " << fit_ref_ms << ",\n";

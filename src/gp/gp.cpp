@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -15,7 +16,18 @@ namespace kato::gp {
 
 namespace {
 constexpr double k_two_pi = 6.283185307179586;
+
+// Two doubles per SSE2 register.  The baseline x86-64 target has no FMA
+// instruction, so `a += s * t` is a rounded multiply then a rounded add in
+// every lane: the same two roundings as la::dot's scalar loop.
+using V2 = double __attribute__((vector_size(16)));
+
+V2 load2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
+}  // namespace
 
 GaussianProcess::GaussianProcess(std::unique_ptr<kern::Kernel> kernel)
     : kernel_(std::move(kernel)), log_noise_(std::log(1e-2)) {
@@ -353,21 +365,53 @@ void GaussianProcess::predict_std_grad(std::span<const double> x,
   }
 }
 
-GpPrediction GaussianProcess::kinv_predict_one(const la::Matrix& kx,
-                                               const la::Matrix& xq,
-                                               std::size_t q,
-                                               la::Vector& kinv_k) const {
+void GaussianProcess::kinv_predict_block(const la::Matrix& kx,
+                                         const la::Matrix& xq, std::size_t q0,
+                                         std::size_t w, KinvBlock& blk,
+                                         std::vector<GpPrediction>& preds) const {
   const auto& p = posterior();
   const std::size_t n = x_.rows();
-  const auto kv = kx.row(q);
-  // kinv_k = K^-1 k; row-wise dot against the (exactly symmetric) inverse
-  // reproduces la::matvec's summation order bit for bit.
-  kinv_k.resize(n);
-  for (std::size_t i = 0; i < n; ++i) kinv_k[i] = la::dot(p.kinv.row(i), kv);
-  const double mean = la::dot(kv, p.alpha);
-  const double var =
-      std::max(kernel_->diag(xq.row(q)) - la::dot(kv, kinv_k), 1e-12);
-  return {mean, var};
+  // Transpose the block's rows of kx into an n x kinv_block tile (unused
+  // lanes zero) so one sweep over a row of K^-1 feeds every query at once.
+  blk.tile.resize(n * kinv_block);
+  for (std::size_t k = 0; k < n; ++k) {
+    double* t = blk.tile.data() + k * kinv_block;
+    for (std::size_t j = 0; j < kinv_block; ++j)
+      t[j] = j < w ? kx(q0 + j, k) : 0.0;
+  }
+  if (blk.kinv_k.rows() != kinv_block || blk.kinv_k.cols() != n)
+    blk.kinv_k = la::Matrix(kinv_block, n);
+
+  // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(q0+j,k) from
+  // 0.0 in increasing k with a separate multiply and add: la::dot's exact
+  // summation order, so every query's K^-1 k is bit-identical to the
+  // per-point la::matvec (K^-1 is exactly symmetric).
+  static_assert(kinv_block == 8, "four two-lane accumulators");
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ki = p.kinv.row(i).data();
+    const double* t = blk.tile.data();
+    V2 a0 = {0.0, 0.0};
+    V2 a1 = a0;
+    V2 a2 = a0;
+    V2 a3 = a0;
+    for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
+      const V2 s = {ki[k], ki[k]};
+      a0 += s * load2(t);
+      a1 += s * load2(t + 2);
+      a2 += s * load2(t + 4);
+      a3 += s * load2(t + 6);
+    }
+    const V2 acc[4] = {a0, a1, a2, a3};
+    for (std::size_t j = 0; j < w; ++j) blk.kinv_k(j, i) = acc[j / 2][j % 2];
+  }
+
+  for (std::size_t j = 0; j < w; ++j) {
+    const auto kv = kx.row(q0 + j);
+    const double mean = la::dot(kv, p.alpha);
+    const double var = std::max(
+        kernel_->diag(xq.row(q0 + j)) - la::dot(kv, blk.kinv_k.row(j)), 1e-12);
+    preds[q0 + j] = {mean, var};
+  }
 }
 
 void GaussianProcess::predict_std_grad_batch(const la::Matrix& xq,
@@ -388,21 +432,24 @@ void GaussianProcess::predict_std_grad_batch(const la::Matrix& xq,
   const la::Matrix kx = kernel_->cross(xq, x_);  // m x n
 
   util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    la::Vector kinv_k(n);
-    for (std::size_t q = q0; q < q1; ++q) {
-      preds[q] = kinv_predict_one(kx, xq, q, kinv_k);
-
-      const la::Matrix dk_dx = kernel_->input_grad(xq.row(q), x_);  // n x d
-      auto dm = dmean_dx.row(q);
-      auto dv = dvar_dx.row(q);
-      for (std::size_t j = 0; j < d; ++j) {
-        dm[j] = 0.0;
-        dv[j] = 0.0;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
+    KinvBlock blk;
+    for (std::size_t b0 = q0; b0 < q1; b0 += kinv_block) {
+      const std::size_t w = std::min(kinv_block, q1 - b0);
+      kinv_predict_block(kx, xq, b0, w, blk, preds);
+      for (std::size_t q = b0; q < b0 + w; ++q) {
+        const auto kinv_k = blk.kinv_k.row(q - b0);
+        const la::Matrix dk_dx = kernel_->input_grad(xq.row(q), x_);  // n x d
+        auto dm = dmean_dx.row(q);
+        auto dv = dvar_dx.row(q);
         for (std::size_t j = 0; j < d; ++j) {
-          dm[j] += dk_dx(i, j) * p.alpha[i];
-          dv[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
+          dm[j] = 0.0;
+          dv[j] = 0.0;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < d; ++j) {
+            dm[j] += dk_dx(i, j) * p.alpha[i];
+            dv[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
+          }
         }
       }
     }
@@ -411,15 +458,15 @@ void GaussianProcess::predict_std_grad_batch(const la::Matrix& xq,
 
 void GaussianProcess::predict_std_batch_exact(
     const la::Matrix& xq, std::vector<GpPrediction>& preds) const {
-  const std::size_t n = x_.rows();
   const std::size_t m = xq.rows();
   preds.resize(m);
   if (m == 0) return;
   const la::Matrix kx = kernel_->cross(xq, x_);
   util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    la::Vector kinv_k(n);
-    for (std::size_t q = q0; q < q1; ++q)
-      preds[q] = kinv_predict_one(kx, xq, q, kinv_k);
+    KinvBlock blk;
+    for (std::size_t b0 = q0; b0 < q1; b0 += kinv_block)
+      kinv_predict_block(kx, xq, b0, std::min(kinv_block, q1 - b0), blk,
+                         preds);
   });
 }
 

@@ -84,15 +84,18 @@ class GaussianProcess {
                         la::Vector& dmean_dx, la::Vector& dvar_dx) const;
   /// Batched predict_std_grad: one kernel cross-covariance for the whole
   /// query block (kernels with an input transform embed the training set
-  /// once per block instead of once per query) and one K^-1 contraction.
-  /// Bit-identical to the per-point call — same algebra, same summation
-  /// order — so KAT-GP training can batch its source stage without changing
-  /// results.  Row q of dmean_dx/dvar_dx is the gradient at query q.
+  /// once per block instead of once per query), then K^-1 k for
+  /// kinv_block queries at a time in one register-blocked sweep over K^-1.
+  /// Bit-identical to the per-point call at any KATO_THREADS — every query
+  /// keeps la::dot's summation order — so KAT-GP training batches its
+  /// source stage without changing results.  Row q of dmean_dx/dvar_dx is
+  /// the gradient at query q.
   void predict_std_grad_batch(const la::Matrix& xq,
                               std::vector<GpPrediction>& preds,
                               la::Matrix& dmean_dx, la::Matrix& dvar_dx) const;
-  /// The posterior values of predict_std_grad_batch without the gradients
-  /// (bit-identical to per-point predict_std; used for exact-NLL sweeps).
+  /// The posterior values of predict_std_grad_batch without the gradients:
+  /// the same blocked K^-1 contraction, bit-identical to per-point
+  /// predict_std (used for KAT-GP's exact-NLL sweeps).
   void predict_std_batch_exact(const la::Matrix& xq,
                                std::vector<GpPrediction>& preds) const;
 
@@ -130,13 +133,27 @@ class GaussianProcess {
     la::Vector tmp;
   };
 
-  /// One query of the batched kinv-path posterior: mean/variance for row q
-  /// of the cross-covariance kx, leaving K^-1 k in `kinv_k` for gradient
-  /// consumers.  Shared by predict_std_grad_batch and
-  /// predict_std_batch_exact so their bit-identity contract has exactly one
-  /// implementation.
-  GpPrediction kinv_predict_one(const la::Matrix& kx, const la::Matrix& xq,
-                                std::size_t q, la::Vector& kinv_k) const;
+  /// Queries per blocked K^-1 contraction (four two-lane accumulators).
+  static constexpr std::size_t kinv_block = 8;
+
+  /// Per-worker buffers of the blocked K^-1 contraction.
+  struct KinvBlock {
+    /// n x kinv_block: the block's rows of kx, transposed.
+    std::vector<double> tile;
+    /// kinv_block x n: row j is K^-1 k of query q0 + j.
+    la::Matrix kinv_k;
+  };
+
+  /// Posterior of queries [q0, q0 + w) (w <= kinv_block) of the
+  /// cross-covariance kx, written to preds[q0 + j], with K^-1 k left in row j
+  /// of blk.kinv_k for gradient consumers.  One sweep over K^-1 serves the
+  /// whole block; each query keeps la::dot's summation order, so the result
+  /// is bit-identical to the per-point la::matvec algebra of predict_std.
+  /// Shared by predict_std_grad_batch and predict_std_batch_exact so their
+  /// bit-identity contract has exactly one implementation.
+  void kinv_predict_block(const la::Matrix& kx, const la::Matrix& xq,
+                          std::size_t q0, std::size_t w, KinvBlock& blk,
+                          std::vector<GpPrediction>& preds) const;
 
   /// NLL and gradient (kernel params then log-noise) on the given subset.
   double nll_and_grad(const la::Matrix& x, const la::Vector& y,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "util/stats.hpp"
 
 namespace kato::gp {
@@ -277,6 +278,8 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
 
 void KatGp::fit(util::Rng& rng) {
   if (x_t_.empty()) throw std::logic_error("KatGp::fit: no target data");
+  KATO_OBS_SPAN("kat_fit");
+  KATO_OBS_STAGE(kat_fit);
   const int iters =
       fitted_once_ ? config_.refit_iterations : config_.init_iterations;
   const std::size_t n = x_t_.rows();
@@ -331,9 +334,10 @@ void KatGp::fit(util::Rng& rng) {
   const std::vector<double> anchor = theta;
 
   // Reused minibatch buffers: the encoder caches live across iterations and
-  // the batched source stage shares one kernel cross-covariance and one
-  // K^-1 contraction per metric per hyper-step (bit-identical to the old
-  // per-point calls; see GaussianProcess::predict_std_grad_batch).
+  // the batched source stage makes one predict_std_grad_batch call per
+  // metric per hyper-step: one kernel cross-covariance for the minibatch and
+  // a register-blocked K^-1 contraction, bit-identical to per-point
+  // predict_std_grad calls (see GaussianProcess::predict_std_grad_batch).
   const std::size_t m_s = source_->n_metrics();
   std::vector<Forward> fwd;
   la::Matrix enc;

@@ -97,9 +97,9 @@ class KatGp {
   /// Per-minibatch source-GP state: posterior values plus d mu_s/dx and
   /// d v_s/dx for every (point, metric) pair, computed by one batched
   /// predict_std_grad_batch call per metric.  The batched values are
-  /// bit-identical to the per-point calls the training loop used to make,
-  /// but the source kernel embeds the minibatch once per hyper-step instead
-  /// of once per point per metric.
+  /// bit-identical to per-point predict_std_grad calls; the batch evaluates
+  /// the source kernel once per minibatch and contracts K^-1 against a block
+  /// of points per sweep instead of one row-dot per point per source point.
   struct SourceGrads {
     std::vector<std::vector<GpPrediction>> preds;  ///< [metric][point]
     std::vector<la::Matrix> dmean;                 ///< [metric]: b x d_s

@@ -76,7 +76,7 @@ Registry* registry() {
 
 constexpr std::size_t k_n_stages = static_cast<std::size_t>(Stage::count_);
 constexpr const char* k_stage_names[k_n_stages] = {
-    "dc", "ac", "tran", "eval", "gp_fit", "acquisition",
+    "dc", "ac", "tran", "eval", "gp_fit", "acquisition", "kat_fit",
 };
 
 /// 2^(i/12) for i in 0..11: the geometric sub-bucket boundaries inside one

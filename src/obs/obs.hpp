@@ -27,10 +27,10 @@
 //     names must be string literals (the buffer stores the pointer).
 //
 //   * Latency histograms — always-on log2-bucketed duration histograms per
-//     pipeline stage (dc/ac/tran/eval/gp_fit/acquisition), recorded by the
-//     KATO_OBS_STAGE scoped timer, summarized as exact bucket-quantiles in
-//     the KATO_STATS dump and as a Prometheus text snapshot via
-//     expose_metrics().  See the "Latency histograms" section below.
+//     pipeline stage (dc/ac/tran/eval/gp_fit/acquisition/kat_fit), recorded
+//     by the KATO_OBS_STAGE scoped timer, summarized as exact
+//     bucket-quantiles in the KATO_STATS dump and as a Prometheus text
+//     snapshot via expose_metrics().  See the "Latency histograms" section below.
 //
 //   The run journal (KATO_RUN_LOG, per-BO-iteration JSONL) lives in the
 //   sibling header obs/journal.hpp.
@@ -298,8 +298,11 @@ class TraceSpan {
 
 /// Stages with a latency histogram.  `eval` wraps one full single-condition
 /// circuit evaluation; dc/ac/tran are the analyses inside it; gp_fit and
-/// acquisition are the BO-side phases.
-enum class Stage : int { dc, ac, tran, eval, gp_fit, acquisition, count_ };
+/// acquisition are the BO-side phases; kat_fit is one KAT-GP alignment
+/// (KatGp::fit: encoder/decoder training through the frozen source GPs).
+enum class Stage : int {
+  dc, ac, tran, eval, gp_fit, acquisition, kat_fit, count_
+};
 
 inline constexpr int k_hist_sub = 12;  ///< sub-buckets per octave (~6%)
 inline constexpr int k_hist_buckets = 64 * k_hist_sub;

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "bo/drivers.hpp"
+#include "gp/kat_gp.hpp"
+#include "kernel/stationary.hpp"
 #include "netlist/netlist_circuit.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +29,9 @@ namespace obs = kato::obs;
 namespace sim = kato::sim;
 namespace ckt = kato::ckt;
 namespace bo = kato::bo;
+namespace gp = kato::gp;
+namespace kern = kato::kern;
+namespace la = kato::la;
 
 #ifndef KATO_SOURCE_DIR
 #define KATO_SOURCE_DIR "."
@@ -410,11 +415,50 @@ TEST(ObsHist, RecordSnapshotStatsDumpAndReset) {
   EXPECT_NE(s.find("\"hist_dc_p90_ns\": "), std::string::npos);
   EXPECT_NE(s.find("\"hist_tran_p99_ns\": "), std::string::npos);
   EXPECT_NE(s.find("\"hist_gp_fit_p99_ns\": "), std::string::npos);
+  EXPECT_NE(s.find("\"hist_kat_fit_count\": 0"), std::string::npos);
+  EXPECT_NE(s.find("\"hist_kat_fit_sum_ns\": 0"), std::string::npos);
+  EXPECT_NE(s.find("\"hist_kat_fit_p50_ns\": "), std::string::npos);
+  EXPECT_NE(s.find("\"hist_kat_fit_p90_ns\": "), std::string::npos);
+  EXPECT_NE(s.find("\"hist_kat_fit_p99_ns\": "), std::string::npos);
   EXPECT_NE(s.find("\"fail_dc\": "), std::string::npos);
 
   obs::stats_reset();
   EXPECT_EQ(obs::hist_snapshot(obs::Stage::dc).count, 0u);
 }
+
+#ifndef KATO_OBS_DISABLE
+TEST(ObsHist, KatFitStageRecordsOneSamplePerAlignment) {
+  // A tiny frozen source GP and a KAT-GP over it: every KatGp::fit (first
+  // fit and warm-started refit alike) is one kat_fit sample, so KAT-GP
+  // alignment is attributed instead of folding into unattributed time.
+  kato::util::Rng rng(17);
+  la::Matrix xs(24, 2);
+  la::Matrix ys(24, 1);
+  for (std::size_t i = 0; i < xs.rows(); ++i) {
+    xs(i, 0) = rng.uniform();
+    xs(i, 1) = rng.uniform();
+    ys(i, 0) = std::sin(3.0 * xs(i, 0)) + xs(i, 1);
+  }
+  gp::MultiGp source(1, [] {
+    return std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 2);
+  });
+  source.set_data(xs, ys);
+  gp::KatGpConfig cfg;
+  cfg.init_iterations = 4;
+  cfg.refit_iterations = 2;
+  gp::KatGp kat(&source, 2, 1, cfg, rng);
+  kat.set_target_data(xs, ys);
+
+  obs::stats_reset();
+  kat.fit(rng);
+  kat.fit(rng);
+  const auto h = obs::hist_snapshot(obs::Stage::kat_fit);
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_GT(h.sum_ns, 0u);
+  EXPECT_EQ(obs::hist_snapshot(obs::Stage::gp_fit).count, 0u);
+  obs::stats_reset();
+}
+#endif  // KATO_OBS_DISABLE
 
 TEST(ObsHist, ShardMergeBitIdenticalAcrossThreadCounts) {
   // The same multiset of durations recorded by one thread and by four must
@@ -477,6 +521,8 @@ TEST(ObsHist, ExposeMetricsIsPrometheusText) {
             std::string::npos);
   // Empty stages still expose their +Inf/_sum/_count triple.
   EXPECT_NE(s.find("kato_stage_latency_seconds_count{stage=\"gp_fit\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(s.find("kato_stage_latency_seconds_count{stage=\"kat_fit\"} 0\n"),
             std::string::npos);
 
   // Structural pass: every line is a comment or `name[{labels}] value` with

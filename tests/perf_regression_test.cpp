@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bo/mace.hpp"
 #include "bo/surrogate.hpp"
@@ -583,38 +586,75 @@ TEST(WarmStartRefit, RefitTraceSeedReproducible) {
 // Batched source-GP gradients (the KAT-GP training hot path).
 
 TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
-  const auto model = fitted_neuk_gp(50, 4, 90);
-  kato::util::Rng rng(91);
-  const auto q = random_points(21, 4, rng);
+  // A Neuk GP and an RBF source GP of the transfer workload's shape
+  // (n = 200).  Query counts cover a single query, partial and whole
+  // contraction blocks, and thread chunks that are not block multiples.
+  std::vector<std::pair<const char*, gp::GaussianProcess>> models;
+  models.emplace_back("neuk", fitted_neuk_gp(50, 4, 90));
+  {
+    kato::util::Rng rng(92);
+    gp::GaussianProcess rbf(
+        std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 6));
+    const auto x = random_points(200, 6, rng);
+    la::Vector y(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      y[i] = std::sin(4.0 * x(i, 0)) + x(i, 1) * x(i, 2);
+    rbf.set_data(x, y);
+    gp::GpFitOptions opts;
+    opts.iterations = 10;
+    rbf.fit(opts, rng);
+    models.emplace_back("rbf", std::move(rbf));
+  }
 
-  std::vector<gp::GpPrediction> preds;
-  la::Matrix dmean;
-  la::Matrix dvar;
-  model.predict_std_grad_batch(q, preds, dmean, dvar);
-  ASSERT_EQ(preds.size(), q.rows());
+  for (const auto& [name, model] : models) {
+    for (const std::size_t m : {1, 7, 8, 9, 21, 130}) {
+      kato::util::Rng rng(91 + m);
+      const auto q = random_points(m, model.input_dim(), rng);
 
-  std::vector<gp::GpPrediction> preds_exact;
-  model.predict_std_batch_exact(q, preds_exact);
+      // Per-point references: predict_std_grad keeps the la::matvec algebra.
+      std::vector<gp::GpPrediction> ref(m);
+      std::vector<gp::GpPrediction> std_ref(m);
+      la::Matrix dm_ref(m, q.cols());
+      la::Matrix dv_ref(m, q.cols());
+      for (std::size_t i = 0; i < m; ++i) {
+        la::Vector dm;
+        la::Vector dv;
+        model.predict_std_grad(q.row(i), ref[i], dm, dv);
+        dm_ref.set_row(i, dm);
+        dv_ref.set_row(i, dv);
+        std_ref[i] = model.predict_std(q.row(i));
+      }
 
-  for (std::size_t i = 0; i < q.rows(); ++i) {
-    gp::GpPrediction ref;
-    la::Vector dm;
-    la::Vector dv;
-    model.predict_std_grad(q.row(i), ref, dm, dv);
-    // Bit-identical: the batched path shares the kinv algebra and summation
-    // order with the per-point path, so KAT-GP training results are
-    // unchanged by the batching.
-    EXPECT_EQ(preds[i].mean, ref.mean) << i;
-    EXPECT_EQ(preds[i].var, ref.var) << i;
-    EXPECT_EQ(preds_exact[i].mean, ref.mean) << i;
-    EXPECT_EQ(preds_exact[i].var, ref.var) << i;
-    for (std::size_t j = 0; j < dm.size(); ++j) {
-      EXPECT_EQ(dmean(i, j), dm[j]) << i << "," << j;
-      EXPECT_EQ(dvar(i, j), dv[j]) << i << "," << j;
+      for (const char* threads : {"1", "4"}) {
+        SCOPED_TRACE(std::string(name) + " m=" + std::to_string(m) +
+                     " threads=" + threads);
+        ThreadsEnv env(threads);
+        std::vector<gp::GpPrediction> preds;
+        la::Matrix dmean;
+        la::Matrix dvar;
+        model.predict_std_grad_batch(q, preds, dmean, dvar);
+        ASSERT_EQ(preds.size(), m);
+        std::vector<gp::GpPrediction> preds_exact;
+        model.predict_std_batch_exact(q, preds_exact);
+        ASSERT_EQ(preds_exact.size(), m);
+
+        // Bit-identical: the blocked K^-1 contraction keeps every query's
+        // summation order, so KAT-GP training results are unchanged by the
+        // batching at any thread count.
+        for (std::size_t i = 0; i < m; ++i) {
+          EXPECT_EQ(preds[i].mean, ref[i].mean) << i;
+          EXPECT_EQ(preds[i].var, ref[i].var) << i;
+          EXPECT_EQ(preds_exact[i].mean, ref[i].mean) << i;
+          EXPECT_EQ(preds_exact[i].var, ref[i].var) << i;
+          EXPECT_EQ(preds_exact[i].mean, std_ref[i].mean) << i;
+          EXPECT_EQ(preds_exact[i].var, std_ref[i].var) << i;
+          for (std::size_t j = 0; j < q.cols(); ++j) {
+            EXPECT_EQ(dmean(i, j), dm_ref(i, j)) << i << "," << j;
+            EXPECT_EQ(dvar(i, j), dv_ref(i, j)) << i << "," << j;
+          }
+        }
+      }
     }
-    const auto std_ref = model.predict_std(q.row(i));
-    EXPECT_EQ(preds_exact[i].mean, std_ref.mean) << i;
-    EXPECT_EQ(preds_exact[i].var, std_ref.var) << i;
   }
 }
 

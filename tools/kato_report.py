@@ -45,7 +45,7 @@ REQUIRED = {
     "series_end": ["name", "circuit", "mode", "n_seeds", "seeds"],
 }
 
-STAGES = ["dc", "ac", "tran", "eval", "gp_fit", "acquisition"]
+STAGES = ["dc", "ac", "tran", "eval", "gp_fit", "acquisition", "kat_fit"]
 FAIL_KEYS = ["fail_dc", "fail_ac", "fail_tran", "fail_measure"]
 RECOVERY_KEYS = [
     "dc_homotopy_escalations", "dc_pseudo_transients",
