@@ -996,6 +996,45 @@ int main(int argc, char** argv) {
               << "x\n";
   }
 
+  // The same A/B on a built-in circuit: hand-written circuits take the base
+  // SizingCircuit::evaluate_batch, so this ratio drops to ~1x if that base
+  // ever falls back to a serial loop.
+  double eval_batch_builtin_speedup = 0.0;
+  {
+    const auto circuit = ckt::make_circuit("opamp2", "180nm");
+    util::Rng cand_rng(32);
+    std::vector<std::vector<double>> cands;
+    for (int c = 0; c < 8; ++c) {
+      auto cx = circuit->expert_design();
+      for (auto& v : cx)
+        v = std::clamp(v + 0.1 * (cand_rng.uniform() - 0.5), 0.0, 1.0);
+      cands.push_back(std::move(cx));
+    }
+    ThreadsEnv threads("1");
+    const double serial_ms = bench(
+        "eval_batch_builtin_serial_q8",
+        [&] {
+          double acc = 0.0;
+          for (const auto& cand : cands) {
+            const auto m = circuit->evaluate(cand);
+            acc += m ? (*m)[0] : 0.0;
+          }
+          sink(acc);
+        },
+        300.0);
+    threads.set("4");
+    const double par_ms = bench(
+        "eval_batch_builtin_threads4_q8",
+        [&] {
+          const auto ms = circuit->evaluate_batch(cands);
+          sink(ms[0] ? (*ms[0])[0] : 0.0);
+        },
+        300.0);
+    eval_batch_builtin_speedup = serial_ms / par_ms;
+    std::cout << "  -> built-in eval batch speedup (4 threads): "
+              << eval_batch_builtin_speedup << "x\n";
+  }
+
   // NSGA-II on an analytic problem (no surrogate cost).
   {
     auto fn = [](const std::vector<double>& x) {
@@ -1063,6 +1102,8 @@ int main(int argc, char** argv) {
         << (sparse_tran_ms > 0.0 ? sparse_tran_dense_ms / sparse_tran_ms : 0.0)
         << ",\n";
     out << "  \"eval_batch_speedup\": " << eval_batch_speedup << ",\n";
+    out << "  \"eval_batch_builtin_speedup\": " << eval_batch_builtin_speedup
+        << ",\n";
     out << "  \"abl_mos_eval_analytic_ms\": " << mos_eval_analytic_ms << ",\n";
     out << "  \"abl_mos_eval_table_ms\": " << mos_eval_table_ms << ",\n";
     out << "  \"device_table_speedup\": "

@@ -100,7 +100,7 @@ class ConstrainedState {
   }
 
   /// Simulate a whole proposal batch through SizingCircuit::evaluate_batch
-  /// (thread-parallel for circuits that override it), then record in
+  /// (thread-parallel on the pool for every circuit), then record in
   /// submission order — history, trace and incumbent bookkeeping are
   /// bit-identical to calling simulate() in a loop.
   std::vector<char> simulate_batch(const std::vector<std::vector<double>>& xs) {
@@ -349,16 +349,24 @@ TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
   src.dim = circuit.dim();
   src.fom_norm = ckt::calibrate_fom(circuit, 200, rng);
 
+  // Each round draws exactly the points still missing and evaluates them as
+  // one batch, appending successes in draw order.  A round that completes
+  // the set has no failures, so it ends on the n-th success: the RNG stream
+  // (and the state handed to rng.split() below) matches drawing and
+  // simulating one point at a time.
   std::vector<std::vector<double>> xs;
   std::vector<std::vector<double>> ys;
   std::vector<double> foms;
   while (xs.size() < n_samples) {
-    const auto x = rng.uniform_vec(circuit.dim());
-    const auto m = circuit.evaluate(x);
-    if (!m) continue;
-    xs.push_back(x);
-    ys.push_back(*m);
-    foms.push_back(ckt::fom_value(src.fom_norm, *m));
+    std::vector<std::vector<double>> round(n_samples - xs.size());
+    for (auto& x : round) x = rng.uniform_vec(circuit.dim());
+    const auto metrics = circuit.evaluate_batch(round);
+    for (std::size_t i = 0; i < round.size(); ++i) {
+      if (!metrics[i]) continue;
+      xs.push_back(std::move(round[i]));
+      ys.push_back(*metrics[i]);
+      foms.push_back(ckt::fom_value(src.fom_norm, *metrics[i]));
+    }
   }
   src.x = la::Matrix::from_points(xs);
   src.y = la::Matrix(ys.size(), circuit.n_metrics());
@@ -394,8 +402,8 @@ RunResult run_constrained(const ckt::SizingCircuit& circuit,
   const auto& specs = circuit.constraints();
 
   // Draws consume the RNG stream in the same order as the historical
-  // one-point-at-a-time loop; evaluation happens as one (possibly
-  // thread-parallel) batch.
+  // one-point-at-a-time loop; evaluation happens as one thread-parallel
+  // batch.
   auto random_batch = [&](std::size_t count) {
     std::vector<std::vector<double>> pts;
     pts.reserve(count);

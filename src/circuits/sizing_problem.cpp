@@ -5,6 +5,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+#include "util/parallel.hpp"
+
 namespace kato::ckt {
 
 void DesignSpace::add(const std::string& name, double lo_v, double hi_v,
@@ -48,9 +51,22 @@ std::vector<double> DesignSpace::to_physical(const std::vector<double>& unit) co
 
 std::vector<std::optional<std::vector<double>>> SizingCircuit::evaluate_batch(
     const std::vector<std::vector<double>>& xs) const {
-  std::vector<std::optional<std::vector<double>>> out;
-  out.reserve(xs.size());
-  for (const auto& x : xs) out.push_back(evaluate(x));
+  KATO_OBS_SPAN("evaluate_batch");
+  std::vector<std::optional<std::vector<double>>> out(xs.size());
+  // Each candidate slot is a pure function of its unit-box point (evaluate
+  // builds its own simulation state and writes only its own slot), so any
+  // chunking of [0, n) yields bit-identical results.  A candidate whose
+  // evaluation throws loses only its own slot — parallel_for would
+  // otherwise rethrow and kill the whole batch.
+  util::parallel_for(xs.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        out[i] = evaluate(xs[i]);
+      } catch (...) {
+        out[i] = std::nullopt;
+      }
+    }
+  });
   return out;
 }
 
@@ -73,8 +89,7 @@ FomNormalization calibrate_fom(const SizingCircuit& circuit, std::size_t n,
   norm.weight.assign(m, 1.0);
 
   // Draw the whole DOE first (same RNG stream as the historical one-by-one
-  // loop), then evaluate as one batch — thread-parallel for circuits that
-  // override evaluate_batch.
+  // loop), then evaluate as one thread-parallel batch.
   std::vector<std::vector<double>> points;
   points.reserve(n);
   for (std::size_t i = 0; i < n; ++i)

@@ -66,10 +66,15 @@ class SizingCircuit {
       const std::vector<double>& unit_x) const = 0;
 
   /// Simulate a batch of candidates; result[i] equals evaluate(xs[i]).
-  /// The base implementation is the serial loop.  Overrides may evaluate
-  /// thread-parallel (see NetlistCircuit) but must stay bit-identical to
-  /// the serial loop at any KATO_THREADS — the BO drivers and the DOE
-  /// stages rely on that for seed reproducibility.
+  /// The base implementation is the thread-parallel per-slot loop on the
+  /// util/parallel pool: slot i runs evaluate(xs[i]) and writes only
+  /// out[i], and a slot whose evaluate throws comes back nullopt without
+  /// disturbing the others.  evaluate must therefore be safe to call
+  /// concurrently on one object (read-only members, private simulation
+  /// state per call).  Results are bit-identical to the serial loop at any
+  /// KATO_THREADS — the BO drivers and the DOE stages rely on that for
+  /// seed reproducibility.  Overrides (NetlistCircuit's corner/MC fan-out)
+  /// must keep the same contract.
   virtual std::vector<std::optional<std::vector<double>>> evaluate_batch(
       const std::vector<std::vector<double>>& xs) const;
 

@@ -424,29 +424,9 @@ std::optional<std::vector<double>> NetlistCircuit::evaluate(
 
 std::vector<std::optional<std::vector<double>>> NetlistCircuit::evaluate_batch(
     const std::vector<std::vector<double>>& xs) const {
-  KATO_OBS_SPAN("evaluate_batch");
   const std::size_t fan = corners_.size() * mc_samples_;
-  if (fan == 1) {
-    std::vector<std::optional<std::vector<double>>> out(xs.size());
-    // Each candidate slot is a pure function of its unit-box point: the
-    // worker elaborates a private sim::Circuit (with its own assembler,
-    // pattern and factorization workspaces) and writes only its own slot, so
-    // any chunking of [0, n) yields bit-identical results.
-    // A candidate whose evaluation throws (evaluate_single converts most
-    // exceptions to failure outcomes already; this is the backstop for
-    // anything escaping earlier, e.g. elaboration) loses only its own slot
-    // — parallel_for would otherwise rethrow and kill the whole batch.
-    util::parallel_for(xs.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          out[i] = evaluate_detailed(xs[i]).metrics;
-        } catch (...) {
-          out[i] = std::nullopt;
-        }
-      }
-    });
-    return out;
-  }
+  if (fan == 1) return SizingCircuit::evaluate_batch(xs);
+  KATO_OBS_SPAN("evaluate_batch");
   // Corner/MC fan-out: flatten candidates x conditions into one slot list
   // so even a small batch fills the pool.  Slot s is a pure function of
   // (candidate s/fan, corner, sample) and writes only its own entry, so any
@@ -461,7 +441,7 @@ std::vector<std::optional<std::vector<double>>> NetlistCircuit::evaluate_batch(
       try {
         conds[s] = evaluate_single(xs[i], c, k).metrics;
       } catch (...) {
-        conds[s] = std::nullopt;  // same backstop as the fan == 1 path
+        conds[s] = std::nullopt;  // same backstop as the base per-slot loop
       }
     }
   });

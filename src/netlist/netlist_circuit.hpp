@@ -82,10 +82,11 @@ class NetlistCircuit final : public SizingCircuit {
   const std::vector<MetricSpec>& constraints() const override { return specs_; }
   std::optional<std::vector<double>> evaluate(
       const std::vector<double>& unit_x) const override;
-  /// Thread-parallel batch evaluation on the util/parallel pool: each
-  /// candidate slot elaborates and simulates independently (the deck, PDK
-  /// and parameter tables are read-only), so results are bit-identical to
-  /// the serial loop at any KATO_THREADS.
+  /// Plain decks use the base per-slot parallel loop (each evaluate
+  /// elaborates a private sim::Circuit; the deck, PDK and parameter tables
+  /// are read-only).  Decks with corners or Monte Carlo flatten candidates
+  /// x conditions into one pool fan-out and aggregate serially, so results
+  /// stay bit-identical to the serial loop at any KATO_THREADS.
   std::vector<std::optional<std::vector<double>>> evaluate_batch(
       const std::vector<std::vector<double>>& xs) const override;
   std::vector<double> expert_design() const override { return expert_; }

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -447,19 +449,82 @@ TEST(EvalBatch, LadderBatchBitIdenticalAcrossThreads) {
 }
 
 TEST(EvalBatch, DefaultImplementationIsSerialLoop) {
-  // Hand-written circuits get the base-class batch: exactly the serial loop.
-  const auto circuit = ckt::make_circuit("opamp2", "180nm");
-  util::Rng rng(93);
+  // Hand-written circuits get the base-class batch: the per-slot loop on the
+  // thread pool, which must equal the serial evaluate() loop bit for bit on
+  // every built-in kind and node at any KATO_THREADS.
+  for (const char* kind : {"opamp2", "opamp3", "stage2", "buffer", "bandgap"}) {
+    for (const char* node : {"180nm", "40nm"}) {
+      const auto circuit = ckt::make_circuit(kind, node);
+      util::Rng rng(93);
+      std::vector<std::vector<double>> cands;
+      for (int i = 0; i < 3; ++i) cands.push_back(rng.uniform_vec(circuit->dim()));
+      cands.push_back(circuit->expert_design());
+      std::vector<std::optional<std::vector<double>>> serial;
+      for (const auto& x : cands) serial.push_back(circuit->evaluate(x));
+
+      for (const char* threads : {"1", "4"}) {
+        ScopedEnv env("KATO_THREADS", threads);
+        const auto batch = circuit->evaluate_batch(cands);
+        ASSERT_EQ(batch.size(), cands.size());
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          ASSERT_EQ(batch[i].has_value(), serial[i].has_value())
+              << kind << " " << node << " threads " << threads << " cand " << i;
+          if (serial[i]) {
+            EXPECT_EQ(*batch[i], *serial[i])
+                << kind << " " << node << " threads " << threads << " cand " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Minimal circuit whose evaluate throws at one chosen point: metrics are a
+/// closed-form function of the point everywhere else.
+class ThrowAtPoint final : public ckt::SizingCircuit {
+ public:
+  explicit ThrowAtPoint(double bad_x0) : bad_x0_(bad_x0) {
+    space_.add("a", 1.0, 2.0, false);
+    space_.add("b", 1.0, 2.0, false);
+  }
+  std::string name() const override { return "throw-at-point"; }
+  const ckt::DesignSpace& space() const override { return space_; }
+  std::string objective_name() const override { return "f"; }
+  const std::vector<ckt::MetricSpec>& constraints() const override {
+    return specs_;
+  }
+  std::optional<std::vector<double>> evaluate(
+      const std::vector<double>& unit_x) const override {
+    if (unit_x[0] == bad_x0_) throw std::runtime_error("evaluate: bad point");
+    return std::vector<double>{unit_x[0] + 2.0 * unit_x[1]};
+  }
+  std::vector<double> expert_design() const override { return {0.5, 0.5}; }
+
+ private:
+  double bad_x0_;
+  ckt::DesignSpace space_;
+  std::vector<ckt::MetricSpec> specs_;
+};
+
+TEST(EvalBatch, ThrowingSlotBecomesNulloptOthersIntact) {
   std::vector<std::vector<double>> cands;
-  for (int i = 0; i < 3; ++i) cands.push_back(rng.uniform_vec(circuit->dim()));
-  const auto batch = circuit->evaluate_batch(cands);
-  ASSERT_EQ(batch.size(), cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const auto one = circuit->evaluate(cands[i]);
-    ASSERT_EQ(batch[i].has_value(), one.has_value());
-    if (one) {
-      for (std::size_t j = 0; j < one->size(); ++j)
-        EXPECT_EQ((*batch[i])[j], (*one)[j]);
+  for (int i = 0; i < 9; ++i) cands.push_back({0.1 * i, 0.05 * i});
+  const std::size_t bad = 5;
+  const ThrowAtPoint circuit(cands[bad][0]);
+  ASSERT_THROW((void)circuit.evaluate(cands[bad]), std::runtime_error);
+
+  for (const char* threads : {"1", "4"}) {
+    ScopedEnv env("KATO_THREADS", threads);
+    const auto batch = circuit.evaluate_batch(cands);
+    ASSERT_EQ(batch.size(), cands.size());
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (i == bad) {
+        EXPECT_FALSE(batch[i].has_value()) << "threads " << threads;
+        continue;
+      }
+      ASSERT_TRUE(batch[i].has_value()) << "threads " << threads << " cand " << i;
+      EXPECT_EQ(*batch[i], *circuit.evaluate(cands[i]))
+          << "threads " << threads << " cand " << i;
     }
   }
 }
