@@ -89,6 +89,8 @@ void run_panel(const Panel& panel) {
 int main() {
   std::cout << "== Fig. 6: transfer learning, seeds=" << core::seed_list(1).size()
             << " ==\n";
+  const std::string buffer_deck = std::string("netlist:") + KATO_SOURCE_DIR +
+                                  "/circuits/netlists/buffer_tran.cir";
   const std::string corner_deck =
       std::string("netlist:") + KATO_SOURCE_DIR +
       "/circuits/netlists/opamp2_corners.cir";
@@ -102,7 +104,7 @@ int main() {
       // Beyond the paper's panels: node transfer on the time-domain
       // step-buffer workload — slew/settling/overshoot specs driven by the
       // transient engine instead of AC small-signal measures.
-      {"(g) node (transient)", "buffer", "180nm", "buffer", "40nm", false},
+      {"(g) node (transient)", buffer_deck, "180nm", buffer_deck, "40nm", false},
       // Corner-robust node transfer: tt/ss/ff PVT corners x 8 mismatch
       // samples per candidate, worst-case/quantile-aggregated specs on both
       // nodes (see README "Corners and Monte Carlo").

@@ -84,24 +84,6 @@ moo::ParetoSet mace_proposals(const Surrogate& surrogate,
                           options.nsga, rng, seeds);
 }
 
-moo::ParetoSet mace_proposals_unconstrained(
-    const Surrogate& surrogate, double y_best, const MaceOptions& options,
-    util::Rng& rng, const std::vector<std::vector<double>>& seeds) {
-  KATO_OBS_SPAN("acquisition");
-  KATO_OBS_STAGE(acquisition);
-  auto acquisition = [&options,
-                      y_best](const std::vector<gp::GpPrediction>& preds) {
-    const gp::GpPrediction obj = preds.front();
-    return std::vector<double>{
-        -expected_improvement(obj, y_best),
-        -probability_of_improvement(obj, y_best),
-        -ucb_improvement(obj, y_best, options.ucb_beta)};
-  };
-  const std::size_t dim = surrogate.input_dim();
-  return moo::nsga2_batch(batch_acquisition(surrogate, acquisition), dim, 3,
-                          options.nsga, rng, seeds);
-}
-
 std::vector<std::vector<double>> select_batch(const moo::ParetoSet& set,
                                               std::size_t count, std::size_t dim,
                                               util::Rng& rng) {

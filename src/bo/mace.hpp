@@ -30,19 +30,13 @@ struct MaceOptions {
 /// metrics[0] (minimized), the rest follow `specs`.  `y_best` is the
 /// incumbent feasible objective (+inf if none yet: acquisitions then reduce
 /// to feasibility search).  `seeds` inject incumbent designs into NSGA-II.
+/// FOM mode passes empty `specs` for its single -FOM metric: PF is then
+/// exactly 1, so the modified variant is the Pareto front of {EI, PI, UCB}.
 moo::ParetoSet mace_proposals(const Surrogate& surrogate,
                               const std::vector<ckt::MetricSpec>& specs,
                               double y_best, const MaceOptions& options,
                               util::Rng& rng,
                               const std::vector<std::vector<double>>& seeds);
-
-/// Same machinery for an unconstrained single-metric problem (FOM mode):
-/// Pareto front of {EI, PI, UCB} alone.
-moo::ParetoSet mace_proposals_unconstrained(const Surrogate& surrogate,
-                                            double y_best,
-                                            const MaceOptions& options,
-                                            util::Rng& rng,
-                                            const std::vector<std::vector<double>>& seeds);
 
 /// Draw `count` distinct points from a Pareto set (random without
 /// replacement; uniform-random fill if the set is too small).

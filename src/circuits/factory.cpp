@@ -33,12 +33,11 @@ std::unique_ptr<SizingCircuit> make_circuit(const std::string& kind,
   if (kind == "opamp3") return std::make_unique<ThreeStageOpAmp>(pdk);
   if (kind == "bandgap") return std::make_unique<BandgapReference>(pdk);
   if (kind == "stage2") return std::make_unique<SecondStageAmp>(pdk);
-  if (kind == "buffer") return std::make_unique<StepBuffer>(pdk);
   if (kind.rfind("netlist:", 0) == 0)
     return NetlistCircuit::from_file(resolve_deck_path(kind.substr(8)), pdk);
   throw std::invalid_argument(
       "make_circuit: unknown kind '" + kind +
-      "'; registered kinds: opamp2, opamp3, bandgap, stage2, buffer, "
+      "'; registered kinds: opamp2, opamp3, bandgap, stage2, "
       "netlist:<deck.cir>");
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "circuits/bandgap.hpp"
-#include "circuits/buffer.hpp"
 #include "circuits/opamp.hpp"
 
 namespace kato::ckt {
@@ -15,12 +14,11 @@ namespace kato::ckt {
 /// kind:
 ///   "opamp2" | "opamp3" | "bandgap" | "stage2"   — the hand-written
 ///       benchmark topologies;
-///   "buffer"                                     — the unity-gain
-///       step-response buffer (time-domain slew/settling specs);
 ///   "netlist:<path.cir>"                         — any SPICE-subset deck,
 ///       elaborated through the netlist front-end.  A relative path is
 ///       tried as-is, then against the KATO_NETLIST_DIR environment
-///       variable.
+///       variable.  The shipped decks live in circuits/netlists/ (e.g.
+///       the transient step buffer, buffer_tran.cir).
 /// node: "180nm" | "40nm".
 ///
 /// Unknown kinds/nodes throw std::invalid_argument listing what is

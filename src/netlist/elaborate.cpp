@@ -2,14 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "sim/ac.hpp"
+#include "sim/device_table.hpp"
 #include "util/rng.hpp"
 
 namespace kato::net {
+
+std::string temperature_problem(double kelvin, const ckt::Pdk& pdk) {
+  const double floor =
+      std::max(sim::device_table_min_temp(pdk.nmos.subthreshold_n),
+               sim::device_table_min_temp(pdk.pmos.subthreshold_n));
+  if (kelvin >= floor && std::isfinite(kelvin)) return "";
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "must be a finite Kelvin temperature >= %.4g (device-table "
+                "floor), got %g",
+                floor, kelvin);
+  return buf;
+}
 
 std::map<std::string, double> pdk_builtins(const ckt::Pdk& pdk) {
   return {
@@ -71,7 +86,7 @@ sim::Diode apply_diode_overrides(sim::Diode base, const ModelDef& def,
 class Elaborator {
  public:
   Elaborator(const Deck& deck, const ckt::Pdk& pdk, const Scope& bindings)
-      : deck_(deck), bindings_(bindings) {
+      : deck_(deck), pdk_(pdk), bindings_(bindings) {
     models_.emplace("nmos", pdk.nmos);
     models_.emplace("pmos", pdk.pmos);
     for (const auto& def : deck.models) {
@@ -125,9 +140,9 @@ class Elaborator {
     }
     if (deck_.temperature != nullptr) {
       out_.temperature = eval_expr(*deck_.temperature, bindings_);
-      if (!(out_.temperature > 0.0))
-        throw NetlistError(deck_.temperature->loc,
-                           ".temp must be a positive Kelvin temperature");
+      const std::string why = temperature_problem(out_.temperature, pdk_);
+      if (!why.empty())
+        throw NetlistError(deck_.temperature->loc, ".temp " + why);
     }
     return std::move(out_);
   }
@@ -337,6 +352,7 @@ class Elaborator {
   }
 
   const Deck& deck_;
+  const ckt::Pdk& pdk_;
   const Scope& bindings_;
   Elaboration out_;
   std::unordered_map<std::string, sim::MosModel> models_;

@@ -51,6 +51,11 @@ struct Elaboration {
 /// vdd, lmin, lmax, is180 (1 when pdk.name == "180nm", else 0).
 std::map<std::string, double> pdk_builtins(const ckt::Pdk& pdk);
 
+/// Why `kelvin` cannot be a .temp / .corner temp= value on `pdk` ("" when
+/// it can): it must be finite and at least the device-table floor of the
+/// PDK's MOS models (sim::device_table_min_temp).
+std::string temperature_problem(double kelvin, const ckt::Pdk& pdk);
+
 /// Apply the `.mc` mismatch draws for sample index `sample` to every MOSFET
 /// of an elaborated circuit: vth0 += vth_sigma * z1 and kp *= 1 + beta_sigma
 /// * z2 (floored at 5% of nominal), with z1/z2 standard-normal draws from a

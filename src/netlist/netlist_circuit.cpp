@@ -307,9 +307,10 @@ NetlistCircuit::NetlistCircuit(net::Deck deck, const Pdk& pdk)
       for (const auto& [key, expr] : c.params) {
         const double val = net::eval_expr(*expr, const_scope);
         if (key == "temp") {
-          if (!(val > 0.0))
-            throw net::NetlistError(c.loc, ".corner '" + c.raw +
-                                               "': temp must be > 0 (kelvin)");
+          const std::string why = net::temperature_problem(val, pdk_);
+          if (!why.empty())
+            throw net::NetlistError(c.loc,
+                                    ".corner '" + c.raw + "': temp " + why);
           setup.temp = val;
         } else if (key == "vdd_scale") {
           if (!(val > 0.0))

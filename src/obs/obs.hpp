@@ -22,9 +22,8 @@
 //     into per-thread buffers and written as Chrome trace-event JSON
 //     (chrome://tracing / Perfetto) when KATO_TRACE=<path> is set.  The
 //     hot-path guard is one relaxed atomic load; with tracing off a span is
-//     a null pointer store and nothing else, and with KATO_OBS_DISABLE
-//     defined the KATO_OBS_SPAN macro compiles to nothing at all.  Span
-//     names must be string literals (the buffer stores the pointer).
+//     a null pointer store and nothing else.  Span names must be string
+//     literals (the buffer stores the pointer).
 //
 //   * Latency histograms — always-on log2-bucketed duration histograms per
 //     pipeline stage (dc/ac/tran/eval/gp_fit/acquisition/kat_fit), recorded
@@ -358,9 +357,7 @@ class StageTimer {
 
 }  // namespace kato::obs
 
-// Scoped-span macro: compiles to nothing when KATO_OBS_DISABLE is defined,
-// otherwise to a TraceSpan whose disabled-path cost is one branch.
-#ifndef KATO_OBS_DISABLE
+// Scoped-span macro: a TraceSpan whose disabled-path cost is one branch.
 #define KATO_OBS_CONCAT_IMPL_(a, b) a##b
 #define KATO_OBS_CONCAT_(a, b) KATO_OBS_CONCAT_IMPL_(a, b)
 #define KATO_OBS_SPAN(name) \
@@ -372,7 +369,3 @@ class StageTimer {
                                            __LINE__) {              \
     ::kato::obs::Stage::stage                                        \
   }
-#else
-#define KATO_OBS_SPAN(name) static_cast<void>(0)
-#define KATO_OBS_STAGE(stage) static_cast<void>(0)
-#endif

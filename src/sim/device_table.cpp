@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -34,19 +36,44 @@ constexpr double k_vov_hi = 4.0;
 // keeps ids/gm/gds within 1e-4 of analytic after the worst-case
 // triode/saturation boundary amplification (see device_table_test).
 constexpr double k_step_per_nvt = 1.0 / 8.0;
+
+/// Grid cells for a table at nvt = n kT/q, as a double (no size_t cast yet).
+double cell_count(double subthreshold_n, double temp) {
+  const double nvt = subthreshold_n * thermal_voltage(temp);
+  return std::ceil((k_vov_hi - k_vov_lo) / (nvt * k_step_per_nvt));
+}
 }  // namespace
+
+double device_table_min_temp(double subthreshold_n) {
+  // Closed form of cell_count(n, t) == cap, then nudged up past rounding;
+  // cell_count falls as t grows, so every temperature >= the result fits.
+  double t = (k_vov_hi - k_vov_lo) /
+             (subthreshold_n * thermal_voltage(1.0) * k_step_per_nvt *
+              static_cast<double>(k_device_table_max_cells));
+  while (cell_count(subthreshold_n, t) >
+         static_cast<double>(k_device_table_max_cells))
+    t = std::nextafter(t, std::numeric_limits<double>::infinity());
+  return t;
+}
 
 DeviceTable::DeviceTable(double subthreshold_n, double temp)
     : n_(subthreshold_n), temp_(temp) {
   if (!(subthreshold_n > 0.0) || !(temp > 0.0))
     throw std::invalid_argument(
         "DeviceTable: subthreshold_n and temp must be > 0");
-  const double nvt = subthreshold_n * thermal_voltage(temp);
-  nvt2_ = 2.0 * nvt;
+  const double cells_f = cell_count(subthreshold_n, temp);
+  if (!(cells_f >= 1.0 &&
+        cells_f <= static_cast<double>(k_device_table_max_cells))) {
+    std::ostringstream msg;
+    msg << "DeviceTable: subthreshold_n " << subthreshold_n << " at temp "
+        << temp << " K needs " << cells_f << " cells, outside [1, "
+        << k_device_table_max_cells << "]";
+    throw std::invalid_argument(msg.str());
+  }
+  nvt2_ = 2.0 * (subthreshold_n * thermal_voltage(temp));
   lo_ = k_vov_lo;
   hi_ = k_vov_hi;
-  const auto cells = static_cast<std::size_t>(
-      std::ceil((hi_ - lo_) / (nvt * k_step_per_nvt)));
+  const auto cells = static_cast<std::size_t>(cells_f);
   step_ = (hi_ - lo_) / static_cast<double>(cells);
   inv_step_ = 1.0 / step_;
   cells_d_ = static_cast<double>(cells);

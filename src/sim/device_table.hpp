@@ -64,7 +64,17 @@ enum class DeviceEval { automatic, analytic, table };
 /// the pinned reference).
 DeviceEval resolve_device_eval(DeviceEval requested);
 
+/// Cap on a table's cell count.  300 K needs ~2k cells; the cap bounds one
+/// table at 16384 cells x 64 B = 1 MB.
+inline constexpr std::size_t k_device_table_max_cells = 16384;
+
+/// Lowest temperature (K) whose table for `subthreshold_n` fits within
+/// k_device_table_max_cells (~34 K for the shipped PDKs).
+double device_table_min_temp(double subthreshold_n);
+
 /// Precomputed veff/dveff curve for one (subthreshold_n, temp) key.
+/// Throws std::invalid_argument when the key needs no cell or more than
+/// k_device_table_max_cells (temp below device_table_min_temp).
 /// Immutable after construction; shared across threads freely.
 class DeviceTable {
  public:

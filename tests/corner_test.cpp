@@ -114,6 +114,19 @@ TEST(CornerDiag, UnknownOverrideKey) {
       6, "overrides unknown parameter 'rbogus'");
 }
 
+TEST(CornerDiag, TemperatureBelowDeviceTableFloor) {
+  for (const char* temp : {"0.0001", "1e-30", "0"}) {
+    expect_diag(std::string("vs in 0 1.0\n"
+                            ".var rr 500 2000 lin\n"
+                            "r1 in out 1k\n"
+                            "r2 out 0 {rr}\n"
+                            ".spec objective Vout V = vdc(out)\n"
+                            ".corner ss temp=") +
+                    temp + "\n",
+                6, "temp must be a finite Kelvin temperature >=");
+  }
+}
+
 TEST(CornerDiag, BadMcCountAndKeys) {
   const char* head =
       "vs in 0 1.0\n"

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -289,6 +290,23 @@ TEST(DeviceTableCache, SharedPerKey) {
   EXPECT_GE(sim::device_table_cache_size(), 3u);
   EXPECT_GT(a->n_knots(), 100u);
   EXPECT_LT(a->step(), a->nvt2());
+}
+
+TEST(DeviceTableCache, CellCountIsCappedAtTheTemperatureFloor) {
+  // Colder keys shrink n kT/q and grow the grid.  Below the floor the
+  // constructor throws instead of exhausting memory (1e-4 K) or overflowing
+  // the double -> size_t cell-count cast (1e-30 K).
+  for (const double temp : {1e-4, 1e-30})
+    EXPECT_THROW(sim::DeviceTable(1.35, temp), std::invalid_argument) << temp;
+  const double floor = sim::device_table_min_temp(1.35);
+  EXPECT_GT(floor, 10.0);
+  EXPECT_LT(floor, 100.0);
+  EXPECT_THROW(sim::DeviceTable(1.35, 0.99 * floor), std::invalid_argument);
+  const sim::DeviceTable at_floor(1.35, floor);
+  EXPECT_LE(at_floor.n_knots(), sim::k_device_table_max_cells + 1);
+  // The shipped decks' temperatures (273-348 K) stay far inside the cap.
+  EXPECT_LT(sim::DeviceTable(1.35, 273.0).n_knots(),
+            sim::k_device_table_max_cells / 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -209,6 +209,26 @@ TEST(NetlistDiag, MalformedCardCarriesLine) {
       2, "expected a value");
 }
 
+TEST(NetlistDiag, TemperatureBelowDeviceTableFloorCarriesLine) {
+  // Below the floor the device table would need more than its cell cap
+  // (1e-4 K used to fail every evaluation with std::bad_alloc; 1e-30 K
+  // overflowed the cell-count cast).
+  for (const char* temp : {"1e-4", "1e-30", "0", "-5"}) {
+    expect_diag(std::string("vs in 0 1.0\n"
+                            ".var u 1 2 lin\n"
+                            "r1 in 0 {u}\n"
+                            ".temp ") +
+                    temp + "\n.spec objective V V = vdc(in)\n",
+                4, ".temp must be a finite Kelvin temperature >=");
+  }
+  // Cryogenic but above the floor is accepted.
+  EXPECT_NO_THROW(load("vs in 0 1.0\n"
+                       ".var u 1 2 lin\n"
+                       "r1 in 0 {u}\n"
+                       ".temp 77\n"
+                       ".spec objective V V = vdc(in)\n"));
+}
+
 TEST(NetlistDiag, UndefinedParamCarriesLine) {
   expect_diag(
       "vs in 0 1.0\n"

@@ -227,11 +227,6 @@ TEST(ObsStats, RegistryAggregatesNetlistEvaluation) {
 
 // --- Trace schema and concurrent flush -------------------------------------
 
-// The span-count assertions below require KATO_OBS_SPAN to emit; under
-// KATO_OBS_DISABLE the macro compiles to nothing, so the tests would count
-// zero events by design rather than by defect.
-#ifndef KATO_OBS_DISABLE
-
 /// Structural check of one emitted event line (the writer emits one JSON
 /// object per line; Perfetto-required keys must all be present).
 void expect_event_line(const std::string& line) {
@@ -326,8 +321,6 @@ TEST(ObsTrace, PauseResumeAndEndWithoutSession) {
   EXPECT_NE(ss.str().find("\"name\":\"kept\""), std::string::npos);
   EXPECT_EQ(ss.str().find("suppressed"), std::string::npos);
 }
-
-#endif  // KATO_OBS_DISABLE
 
 // --- Latency histograms ----------------------------------------------------
 
@@ -426,7 +419,6 @@ TEST(ObsHist, RecordSnapshotStatsDumpAndReset) {
   EXPECT_EQ(obs::hist_snapshot(obs::Stage::dc).count, 0u);
 }
 
-#ifndef KATO_OBS_DISABLE
 TEST(ObsHist, KatFitStageRecordsOneSamplePerAlignment) {
   // A tiny frozen source GP and a KAT-GP over it: every KatGp::fit (first
   // fit and warm-started refit alike) is one kat_fit sample, so KAT-GP
@@ -458,7 +450,6 @@ TEST(ObsHist, KatFitStageRecordsOneSamplePerAlignment) {
   EXPECT_EQ(obs::hist_snapshot(obs::Stage::gp_fit).count, 0u);
   obs::stats_reset();
 }
-#endif  // KATO_OBS_DISABLE
 
 TEST(ObsHist, ShardMergeBitIdenticalAcrossThreadCounts) {
   // The same multiset of durations recorded by one thread and by four must
@@ -668,11 +659,7 @@ TEST(ObsBo, SeededRunBitIdenticalWithTracingOn) {
   const auto traced =
       bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
   const std::size_t n_events = obs::trace_end();
-#ifndef KATO_OBS_DISABLE
   EXPECT_GT(n_events, 0u);
-#else
-  (void)n_events;
-#endif
 
   // Counters never feed arithmetic and spans only read the clock, so the
   // optimization trajectory must be bit-identical with tracing enabled.
@@ -701,22 +688,38 @@ bo::BoConfig journal_test_config() {
   return cfg;
 }
 
-/// Run the same seeded constrained optimization with the journal off and
-/// on; require a bit-identical trajectory and a schema-complete journal
-/// whose run_end replays the run's own best-so-far curve.
-void check_journaled_run(const std::string& deck_name) {
+/// Integer value of `"key":<n>` in one journal line.
+std::size_t journal_uint(const std::string& event, const std::string& key) {
+  const auto pos = event.find("\"" + key + "\":");
+  EXPECT_NE(pos, std::string::npos) << key << " in " << event;
+  return pos == std::string::npos ? 0 : std::stoul(event.substr(pos + key.size() + 3));
+}
+
+/// Run the same seeded KATO optimization — constrained, or FOM mode when
+/// `fom` — with the journal off and on; require a bit-identical trajectory
+/// and a schema-complete journal whose run_end replays the run's own
+/// best-so-far curve.
+void check_journaled_run(const std::string& deck_name, bool fom = false) {
   const auto deck =
       ckt::NetlistCircuit::from_file(deck_path(deck_name), ckt::pdk_180nm());
   const bo::BoConfig cfg = journal_test_config();
+  ckt::FomNormalization norm;
+  if (fom) {
+    kato::util::Rng cal_rng(9);
+    norm = ckt::calibrate_fom(*deck, 40, cal_rng);
+  }
+  auto run = [&] {
+    return fom ? bo::run_fom(*deck, norm, bo::FomMethod::kato, cfg, 5)
+               : bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
+  };
 
-  const auto plain =
-      bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
+  const auto plain = run();
 
-  const std::string path = trace_path("obs_journal_" + deck_name + ".jsonl");
+  const std::string path = trace_path(std::string("obs_journal_") +
+                                      (fom ? "fom_" : "") + deck_name + ".jsonl");
   obs::journal_begin(path);
   ASSERT_TRUE(obs::journal_enabled());
-  const auto journaled =
-      bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
+  const auto journaled = run();
   const std::size_t lines = obs::journal_end();
 
   // Journaling is value-free: same seed, same trajectory, to the bit.
@@ -743,7 +746,8 @@ void check_journaled_run(const std::string& deck_name) {
   }
   const std::string& begin = events.front();
   EXPECT_NE(begin.find("\"event\":\"run_begin\""), std::string::npos);
-  EXPECT_NE(begin.find("\"mode\":\"constrained\""), std::string::npos);
+  EXPECT_NE(begin.find(fom ? "\"mode\":\"fom\"" : "\"mode\":\"constrained\""),
+            std::string::npos);
   EXPECT_NE(begin.find("\"method\":\"KATO\""), std::string::npos);
   EXPECT_NE(begin.find("\"seed\":5"), std::string::npos);
   EXPECT_NE(begin.find("\"config\":{"), std::string::npos);
@@ -757,6 +761,11 @@ void check_journaled_run(const std::string& deck_name) {
     EXPECT_NE(events[i].find("\"proposals\":["), std::string::npos);
     EXPECT_NE(events[i].find("\"trace\":["), std::string::npos);
     EXPECT_NE(events[i].find("\"best\":"), std::string::npos);
+    // FOM mode has no constraints: every valid design counts as feasible.
+    if (fom)
+      EXPECT_EQ(journal_uint(events[i], "n_feasible"),
+                journal_uint(events[i], "n_valid"))
+          << events[i];
     ++n_iteration;
   }
   EXPECT_EQ(n_iteration, 1u + cfg.iterations);
@@ -793,6 +802,10 @@ TEST(ObsBo, JournaledOpamp2RunBitIdenticalAndSchemaComplete) {
 
 TEST(ObsBo, JournaledBufferTranRunBitIdenticalAndSchemaComplete) {
   check_journaled_run("buffer_tran.cir");
+}
+
+TEST(ObsBo, JournaledFomOpamp2RunBitIdenticalAndSchemaComplete) {
+  check_journaled_run("opamp2.cir", /*fom=*/true);
 }
 
 }  // namespace

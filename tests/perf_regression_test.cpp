@@ -60,18 +60,18 @@ class ThreadsEnv {
   ~ThreadsEnv() { unsetenv("KATO_THREADS"); }
 };
 
-bo::GpSurrogate fitted_surrogate(std::uint64_t seed) {
+bo::GpSurrogate fitted_surrogate(std::uint64_t seed, std::size_t n_metrics = 2) {
   kato::util::Rng rng(seed);
   gp::GpFitOptions fit{30, 0.05, 192, 1e-6};
-  bo::GpSurrogate surr(3, 2, bo::KernelKind::neuk, fit, fit, rng);
+  bo::GpSurrogate surr(3, n_metrics, bo::KernelKind::neuk, fit, fit, rng);
   const std::size_t n = 50;
   la::Matrix x = random_points(n, 3, rng);
-  la::Matrix y(n, 2);
+  la::Matrix y(n, n_metrics);
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < 3; ++j) s += (x(i, j) - 0.6) * (x(i, j) - 0.6);
     y(i, 0) = s;
-    y(i, 1) = x(i, 0);
+    if (n_metrics > 1) y(i, 1) = x(i, 0);
   }
   surr.refit(x, y, rng);
   return surr;
@@ -227,14 +227,15 @@ TEST(ThreadedMace, ProposalsBitIdenticalToSingleThread) {
   }
 }
 
+// FOM mode's proposals: one metric, no specs.
 TEST(ThreadedMace, UnconstrainedVariantBitIdenticalToo) {
-  const auto surr = fitted_surrogate(50);
+  const auto surr = fitted_surrogate(50, 1);
   bo::MaceOptions opts;
   opts.nsga.population = 12;
   opts.nsga.generations = 4;
   auto run = [&] {
     kato::util::Rng rng(51);
-    return bo::mace_proposals_unconstrained(surr, 0.2, opts, rng, {});
+    return bo::mace_proposals(surr, {}, 0.2, opts, rng, {});
   };
   kato::moo::ParetoSet single;
   {

@@ -321,6 +321,10 @@ TEST_P(SparseVsDense, Opamp2DcAcMetrics) {
 TEST_P(SparseVsDense, BufferTranMetrics) {
   const auto circuit = ckt::NetlistCircuit::from_file(
       deck_path("buffer_tran.cir"), ckt::pdk_by_name(GetParam()));
+  // The deck's expert row is feasible on both nodes.
+  const auto expert = circuit->evaluate(circuit->expert_design());
+  ASSERT_TRUE(expert);
+  EXPECT_TRUE(circuit->feasible(*expert));
   compare_metrics(*circuit, circuit->expert_design());
   util::Rng rng(78);
   for (int i = 0; i < 4; ++i)
@@ -452,7 +456,7 @@ TEST(EvalBatch, DefaultImplementationIsSerialLoop) {
   // Hand-written circuits get the base-class batch: the per-slot loop on the
   // thread pool, which must equal the serial evaluate() loop bit for bit on
   // every built-in kind and node at any KATO_THREADS.
-  for (const char* kind : {"opamp2", "opamp3", "stage2", "buffer", "bandgap"}) {
+  for (const char* kind : {"opamp2", "opamp3", "stage2", "bandgap"}) {
     for (const char* node : {"180nm", "40nm"}) {
       const auto circuit = ckt::make_circuit(kind, node);
       util::Rng rng(93);
