@@ -53,9 +53,10 @@ SCALING_FLOORS = {"eval_batch_speedup": 2.0,
 # Same-binary, same-thread-count A/B ratios: machine-independent, enforced
 # whenever the current run reports them.  kat_source_grad_speedup (per-point
 # predict_std_grad loop / predict_std_grad_batch, n = 200, 128 queries) is
-# ~2.0-2.4x with the blocked K^-1 contraction and ~0.8-1.1x with per-query
-# row-dots, so the floor at about half the measured ratio catches a
-# regression back to row-dots.
+# ~2.0-2.5x with the blocked K^-1 contraction (2.50x with the gradient
+# contracted from the cross row) and ~0.8-1.1x with per-query row-dots, so
+# the floor at about half the measured ratio catches a regression back to
+# row-dots.
 SPEEDUP_FLOORS = {"device_table_speedup": 3.0, "kat_source_grad_speedup": 1.2}
 
 # Overhead ratios (`*_ratio` fields, current/reference arms interleaved in

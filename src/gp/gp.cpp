@@ -27,6 +27,13 @@ V2 load2(const double* p) {
   std::memcpy(&v, p, sizeof v);
   return v;
 }
+
+/// Rows [r0, r1) of x as their own matrix (the query block of one chunk).
+la::Matrix row_range(const la::Matrix& x, std::size_t r0, std::size_t r1) {
+  la::Matrix out(r1 - r0, x.cols());
+  for (std::size_t r = r0; r < r1; ++r) out.set_row(r - r0, x.row(r));
+  return out;
+}
 }  // namespace
 
 GaussianProcess::GaussianProcess(std::unique_ptr<kern::Kernel> kernel)
@@ -285,42 +292,44 @@ GpPrediction GaussianProcess::predict(std::span<const double> x) const {
   return p;
 }
 
-std::vector<GpPrediction> GaussianProcess::predict_std_batch(
-    const la::Matrix& xq) const {
+void GaussianProcess::predict_std_rows(const la::Matrix& xq, std::size_t q0,
+                                       std::size_t q1,
+                                       std::vector<GpPrediction>& preds) const {
+  if (q1 <= q0) return;
   const auto& p = posterior();
   const std::size_t n = x_.rows();
+  const std::size_t w = q1 - q0;
+  const la::Matrix kx = kernel_->cross(row_range(xq, q0, q1), x_);  // w x n
+
+  // rhs = kx^T, then one forward sweep solves L V = rhs for all w queries
+  // together; var = k(x,x) - ||v||^2 column-wise.  Each column of the sweep
+  // is independent of the others, so the row range never changes a value.
+  la::Matrix rhs(n, w);
+  for (std::size_t j = 0; j < w; ++j)
+    for (std::size_t k = 0; k < n; ++k) rhs(k, j) = kx(j, k);
+  const la::Matrix v = la::solve_lower_multi(p.chol_l, rhs);
+  la::Vector sumsq(w, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto row = v.row(k);
+    for (std::size_t j = 0; j < w; ++j) sumsq[j] += row[j] * row[j];
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    const double mean = la::dot(kx.row(j), p.alpha);
+    const double var =
+        std::max(kernel_->diag(xq.row(q0 + j)) - sumsq[j], 1e-12);
+    preds[q0 + j] = {mean, var};
+  }
+}
+
+std::vector<GpPrediction> GaussianProcess::predict_std_batch(
+    const la::Matrix& xq) const {
   const std::size_t m = xq.rows();
   std::vector<GpPrediction> out(m);
   if (m == 0) return out;
   if (xq.cols() != kernel_->input_dim())
     throw std::invalid_argument("predict_std_batch: dim mismatch");
-
-  // One cross-covariance evaluation for the whole block: kernels with an
-  // input transform (Neuk) embed the training set once instead of once per
-  // candidate.
-  const la::Matrix kx = kernel_->cross(xq, x_);  // m x n
-
-  // Contiguous query ranges keep the result bit-identical at any thread
-  // count: every candidate's mean/variance depends only on its own column.
   util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    const std::size_t w = q1 - q0;
-    // rhs = kx[q0:q1, :]^T, then one forward sweep solves L V = rhs for all
-    // w candidates together; var = k(x,x) - ||v||^2 column-wise.
-    la::Matrix rhs(n, w);
-    for (std::size_t q = q0; q < q1; ++q)
-      for (std::size_t k = 0; k < n; ++k) rhs(k, q - q0) = kx(q, k);
-    const la::Matrix v = la::solve_lower_multi(p.chol_l, rhs);
-    la::Vector sumsq(w, 0.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto row = v.row(k);
-      for (std::size_t j = 0; j < w; ++j) sumsq[j] += row[j] * row[j];
-    }
-    for (std::size_t q = q0; q < q1; ++q) {
-      const double mean = la::dot(kx.row(q), p.alpha);
-      const double var =
-          std::max(kernel_->diag(xq.row(q)) - sumsq[q - q0], 1e-12);
-      out[q] = {mean, var};
-    }
+    predict_std_rows(xq, q0, q1, out);
   });
   return out;
 }
@@ -340,8 +349,7 @@ void GaussianProcess::predict_std_grad(std::span<const double> x,
                                        la::Vector& dvar_dx) const {
   const auto& p = posterior();
   const std::size_t n = x_.rows();
-  const std::size_t d = x.size();
-  la::Matrix xq(1, d);
+  la::Matrix xq(1, x.size());
   xq.set_row(0, x);
   const la::Matrix kx = kernel_->cross(xq, x_);
   la::Vector kv(n);
@@ -354,63 +362,72 @@ void GaussianProcess::predict_std_grad(std::span<const double> x,
 
   // d mean/dx = (dk/dx)^T alpha ; d var/dx = -2 (dk/dx)^T K^-1 k.
   // (k(x,x) is constant in x for the stationary and Neuk kernels used here.)
-  const la::Matrix dk_dx = kernel_->input_grad(x, x_);  // n x d
-  dmean_dx.assign(d, 0.0);
-  dvar_dx.assign(d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      dmean_dx[j] += dk_dx(i, j) * p.alpha[i];
-      dvar_dx[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
-    }
-  }
+  dmean_dx.assign(x.size(), 0.0);
+  dvar_dx.assign(x.size(), 0.0);
+  kernel_->posterior_input_grad(x, x_, kv, p.alpha, kinv_k, dmean_dx, dvar_dx);
 }
 
-void GaussianProcess::kinv_predict_block(const la::Matrix& kx,
-                                         const la::Matrix& xq, std::size_t q0,
-                                         std::size_t w, KinvBlock& blk,
-                                         std::vector<GpPrediction>& preds) const {
+void GaussianProcess::predict_std_kinv_rows(const la::Matrix& xq,
+                                            std::size_t q0, std::size_t q1,
+                                            std::vector<GpPrediction>& preds,
+                                            la::Matrix* dmean_dx,
+                                            la::Matrix* dvar_dx) const {
+  if (q1 <= q0) return;
   const auto& p = posterior();
   const std::size_t n = x_.rows();
-  // Transpose the block's rows of kx into an n x kinv_block tile (unused
-  // lanes zero) so one sweep over a row of K^-1 feeds every query at once.
-  blk.tile.resize(n * kinv_block);
-  for (std::size_t k = 0; k < n; ++k) {
-    double* t = blk.tile.data() + k * kinv_block;
-    for (std::size_t j = 0; j < kinv_block; ++j)
-      t[j] = j < w ? kx(q0 + j, k) : 0.0;
-  }
-  if (blk.kinv_k.rows() != kinv_block || blk.kinv_k.cols() != n)
-    blk.kinv_k = la::Matrix(kinv_block, n);
+  const la::Matrix kx = kernel_->cross(row_range(xq, q0, q1), x_);  // w x n
 
-  // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(q0+j,k) from
-  // 0.0 in increasing k with a separate multiply and add: la::dot's exact
-  // summation order, so every query's K^-1 k is bit-identical to the
-  // per-point la::matvec (K^-1 is exactly symmetric).
+  // tile: n x kinv_block, the block's rows of kx transposed (unused lanes
+  // zero) so one sweep over a row of K^-1 feeds every query at once.
+  // kinv_k: row j is K^-1 k of the block's query j.
+  std::vector<double> tile(n * kinv_block);
+  la::Matrix kinv_k(kinv_block, n);
   static_assert(kinv_block == 8, "four two-lane accumulators");
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ki = p.kinv.row(i).data();
-    const double* t = blk.tile.data();
-    V2 a0 = {0.0, 0.0};
-    V2 a1 = a0;
-    V2 a2 = a0;
-    V2 a3 = a0;
-    for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
-      const V2 s = {ki[k], ki[k]};
-      a0 += s * load2(t);
-      a1 += s * load2(t + 2);
-      a2 += s * load2(t + 4);
-      a3 += s * load2(t + 6);
+  for (std::size_t b0 = 0; b0 < q1 - q0; b0 += kinv_block) {
+    const std::size_t w = std::min(kinv_block, q1 - q0 - b0);
+    for (std::size_t k = 0; k < n; ++k) {
+      double* t = tile.data() + k * kinv_block;
+      for (std::size_t j = 0; j < kinv_block; ++j)
+        t[j] = j < w ? kx(b0 + j, k) : 0.0;
     }
-    const V2 acc[4] = {a0, a1, a2, a3};
-    for (std::size_t j = 0; j < w; ++j) blk.kinv_k(j, i) = acc[j / 2][j % 2];
-  }
 
-  for (std::size_t j = 0; j < w; ++j) {
-    const auto kv = kx.row(q0 + j);
-    const double mean = la::dot(kv, p.alpha);
-    const double var = std::max(
-        kernel_->diag(xq.row(q0 + j)) - la::dot(kv, blk.kinv_k.row(j)), 1e-12);
-    preds[q0 + j] = {mean, var};
+    // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(b0+j,k)
+    // from 0.0 in increasing k with a separate multiply and add: la::dot's
+    // exact summation order, so every query's K^-1 k is bit-identical to
+    // the per-point la::matvec (K^-1 is exactly symmetric).
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* ki = p.kinv.row(i).data();
+      const double* t = tile.data();
+      V2 a0 = {0.0, 0.0};
+      V2 a1 = a0;
+      V2 a2 = a0;
+      V2 a3 = a0;
+      for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
+        const V2 s = {ki[k], ki[k]};
+        a0 += s * load2(t);
+        a1 += s * load2(t + 2);
+        a2 += s * load2(t + 4);
+        a3 += s * load2(t + 6);
+      }
+      const V2 acc[4] = {a0, a1, a2, a3};
+      for (std::size_t j = 0; j < w; ++j) kinv_k(j, i) = acc[j / 2][j % 2];
+    }
+
+    for (std::size_t j = 0; j < w; ++j) {
+      const std::size_t q = q0 + b0 + j;
+      const auto kv = kx.row(b0 + j);
+      const double mean = la::dot(kv, p.alpha);
+      const double var = std::max(
+          kernel_->diag(xq.row(q)) - la::dot(kv, kinv_k.row(j)), 1e-12);
+      preds[q] = {mean, var};
+      if (dmean_dx == nullptr) continue;
+      auto dm = dmean_dx->row(q);
+      auto dv = dvar_dx->row(q);
+      std::fill(dm.begin(), dm.end(), 0.0);
+      std::fill(dv.begin(), dv.end(), 0.0);
+      kernel_->posterior_input_grad(xq.row(q), x_, kv, p.alpha, kinv_k.row(j),
+                                    dm, dv);
+    }
   }
 }
 
@@ -418,55 +435,21 @@ void GaussianProcess::predict_std_grad_batch(const la::Matrix& xq,
                                              std::vector<GpPrediction>& preds,
                                              la::Matrix& dmean_dx,
                                              la::Matrix& dvar_dx) const {
-  const auto& p = posterior();
-  const std::size_t n = x_.rows();
   const std::size_t m = xq.rows();
   const std::size_t d = xq.cols();
   preds.resize(m);
   if (dmean_dx.rows() != m || dmean_dx.cols() != d) dmean_dx = la::Matrix(m, d);
   if (dvar_dx.rows() != m || dvar_dx.cols() != d) dvar_dx = la::Matrix(m, d);
-  if (m == 0) return;
-
-  // One cross-covariance for the whole block: input-transform kernels embed
-  // the training set once per block instead of once per query.
-  const la::Matrix kx = kernel_->cross(xq, x_);  // m x n
-
   util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    KinvBlock blk;
-    for (std::size_t b0 = q0; b0 < q1; b0 += kinv_block) {
-      const std::size_t w = std::min(kinv_block, q1 - b0);
-      kinv_predict_block(kx, xq, b0, w, blk, preds);
-      for (std::size_t q = b0; q < b0 + w; ++q) {
-        const auto kinv_k = blk.kinv_k.row(q - b0);
-        const la::Matrix dk_dx = kernel_->input_grad(xq.row(q), x_);  // n x d
-        auto dm = dmean_dx.row(q);
-        auto dv = dvar_dx.row(q);
-        for (std::size_t j = 0; j < d; ++j) {
-          dm[j] = 0.0;
-          dv[j] = 0.0;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < d; ++j) {
-            dm[j] += dk_dx(i, j) * p.alpha[i];
-            dv[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
-          }
-        }
-      }
-    }
+    predict_std_kinv_rows(xq, q0, q1, preds, &dmean_dx, &dvar_dx);
   });
 }
 
 void GaussianProcess::predict_std_batch_exact(
     const la::Matrix& xq, std::vector<GpPrediction>& preds) const {
-  const std::size_t m = xq.rows();
-  preds.resize(m);
-  if (m == 0) return;
-  const la::Matrix kx = kernel_->cross(xq, x_);
-  util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    KinvBlock blk;
-    for (std::size_t b0 = q0; b0 < q1; b0 += kinv_block)
-      kinv_predict_block(kx, xq, b0, std::min(kinv_block, q1 - b0), blk,
-                         preds);
+  preds.resize(xq.rows());
+  util::parallel_for(xq.rows(), [&](std::size_t q0, std::size_t q1) {
+    predict_std_kinv_rows(xq, q0, q1, preds, nullptr, nullptr);
   });
 }
 

@@ -70,11 +70,17 @@ class GaussianProcess {
   GpPrediction predict(std::span<const double> x) const;
   /// Predictive posterior in standardized-target space.
   GpPrediction predict_std(std::span<const double> x) const;
-  /// Batched posterior for a whole query block (rows of xq), raw units.
-  /// One kernel cross-covariance evaluation and one multi-RHS triangular
-  /// solve are shared across all candidates — agrees with per-point
-  /// predict() to numerical round-off but is several times cheaper.
-  /// Splits across KATO_THREADS workers deterministically.
+  /// Batched posteriors.  Each splits the query rows across KATO_THREADS
+  /// pool workers, and every chunk builds the cross-covariance rows of its
+  /// own queries (kernel cross() on the chunk's rows, inside the
+  /// parallel_for) and then runs one of the two serial row-range cores
+  /// below.  Every cross() entry depends only on its own query, and each
+  /// core's per-query arithmetic does too, so results are bit-identical at
+  /// any thread count.
+  ///
+  /// Batched posterior for a whole query block (rows of xq), raw units:
+  /// the triangular-solve core, agreeing with per-point predict() to
+  /// round-off at a fraction of the cost.
   std::vector<GpPrediction> predict_batch(const la::Matrix& xq) const;
   /// Batched posterior in standardized-target space.
   std::vector<GpPrediction> predict_std_batch(const la::Matrix& xq) const;
@@ -82,22 +88,36 @@ class GaussianProcess {
   /// (used by KAT-GP to backpropagate through the source GP).
   void predict_std_grad(std::span<const double> x, GpPrediction& pred,
                         la::Vector& dmean_dx, la::Vector& dvar_dx) const;
-  /// Batched predict_std_grad: one kernel cross-covariance for the whole
-  /// query block (kernels with an input transform embed the training set
-  /// once per block instead of once per query), then K^-1 k for
-  /// kinv_block queries at a time in one register-blocked sweep over K^-1.
-  /// Bit-identical to the per-point call at any KATO_THREADS — every query
-  /// keeps la::dot's summation order — so KAT-GP training batches its
-  /// source stage without changing results.  Row q of dmean_dx/dvar_dx is
-  /// the gradient at query q.
+  /// Batched predict_std_grad: the K^-1 core with gradients.  Bit-identical
+  /// to the per-point call at any KATO_THREADS — every query keeps
+  /// la::dot's summation order and the kernel's posterior_input_grad — so
+  /// KAT-GP training batches its source stage without changing results.
+  /// Row q of dmean_dx/dvar_dx is the gradient at query q.
   void predict_std_grad_batch(const la::Matrix& xq,
                               std::vector<GpPrediction>& preds,
                               la::Matrix& dmean_dx, la::Matrix& dvar_dx) const;
-  /// The posterior values of predict_std_grad_batch without the gradients:
-  /// the same blocked K^-1 contraction, bit-identical to per-point
-  /// predict_std (used for KAT-GP's exact-NLL sweeps).
+  /// The posterior values of predict_std_grad_batch without the gradients,
+  /// bit-identical to per-point predict_std (KAT-GP's exact-NLL sweeps).
   void predict_std_batch_exact(const la::Matrix& xq,
                                std::vector<GpPrediction>& preds) const;
+
+  /// Serial row-range cores of the batched posteriors: queries [q0, q1) of
+  /// xq, written to preds[q0..q1) (preds must already hold xq.rows()
+  /// entries).  Each builds its queries' cross-covariance rows itself, so a
+  /// caller can dispatch one parallel_for over several GPs' rows (KAT-GP's
+  /// source stage runs every source metric in one dispatch) and get exactly
+  /// the values of the batch methods above.
+  ///
+  /// Triangular-solve core of predict_std_batch.
+  void predict_std_rows(const la::Matrix& xq, std::size_t q0, std::size_t q1,
+                        std::vector<GpPrediction>& preds) const;
+  /// K^-1 core of predict_std_batch_exact and predict_std_grad_batch:
+  /// K^-1 k for kinv_block queries per register-blocked sweep over K^-1.
+  /// With non-null dmean_dx/dvar_dx (xq.rows() x d, pre-sized) it also
+  /// writes their rows q0..q1 via the kernel's posterior_input_grad.
+  void predict_std_kinv_rows(const la::Matrix& xq, std::size_t q0,
+                             std::size_t q1, std::vector<GpPrediction>& preds,
+                             la::Matrix* dmean_dx, la::Matrix* dvar_dx) const;
 
   /// Exact NLL of the current hyperparameters on the full training set.
   double nll() const;
@@ -135,25 +155,6 @@ class GaussianProcess {
 
   /// Queries per blocked K^-1 contraction (four two-lane accumulators).
   static constexpr std::size_t kinv_block = 8;
-
-  /// Per-worker buffers of the blocked K^-1 contraction.
-  struct KinvBlock {
-    /// n x kinv_block: the block's rows of kx, transposed.
-    std::vector<double> tile;
-    /// kinv_block x n: row j is K^-1 k of query q0 + j.
-    la::Matrix kinv_k;
-  };
-
-  /// Posterior of queries [q0, q0 + w) (w <= kinv_block) of the
-  /// cross-covariance kx, written to preds[q0 + j], with K^-1 k left in row j
-  /// of blk.kinv_k for gradient consumers.  One sweep over K^-1 serves the
-  /// whole block; each query keeps la::dot's summation order, so the result
-  /// is bit-identical to the per-point la::matvec algebra of predict_std.
-  /// Shared by predict_std_grad_batch and predict_std_batch_exact so their
-  /// bit-identity contract has exactly one implementation.
-  void kinv_predict_block(const la::Matrix& kx, const la::Matrix& xq,
-                          std::size_t q0, std::size_t w, KinvBlock& blk,
-                          std::vector<GpPrediction>& preds) const;
 
   /// NLL and gradient (kernel params then log-noise) on the given subset.
   double nll_and_grad(const la::Matrix& x, const la::Vector& y,

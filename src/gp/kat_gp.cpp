@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace kato::gp {
@@ -21,6 +22,23 @@ la::Matrix small_spd_inverse(const la::Matrix& a) {
 double small_spd_logdet(const la::Matrix& a) {
   const auto chol = la::cholesky_jittered(a);
   return la::cholesky_logdet(chol.l);
+}
+
+/// One parallel_for over every (source metric, query row) pair of an
+/// m_s x b index space: fn(k, q0, q1) runs source metric k's serial
+/// row-range core on query rows [q0, q1).  A chunk that straddles two
+/// metrics becomes two calls; each row's values never depend on the split.
+template <class Fn>
+void for_source_rows(std::size_t m_s, std::size_t b, const Fn& fn) {
+  util::parallel_for(m_s * b, [&](std::size_t r0, std::size_t r1) {
+    while (r0 < r1) {
+      const std::size_t k = r0 / b;
+      const std::size_t q0 = r0 % b;
+      const std::size_t q1 = std::min(b, q0 + (r1 - r0));
+      fn(k, q0, q1);
+      r0 += q1 - q0;
+    }
+  });
 }
 }  // namespace
 
@@ -334,11 +352,11 @@ void KatGp::fit(util::Rng& rng) {
   const std::vector<double> anchor = theta;
 
   // Reused minibatch buffers: the encoder caches live across iterations and
-  // the batched source stage makes one predict_std_grad_batch call per
-  // metric per hyper-step: one kernel cross-covariance for the minibatch and
-  // a register-blocked K^-1 contraction, bit-identical to per-point
-  // predict_std_grad calls (see GaussianProcess::predict_std_grad_batch).
+  // the source stage is one for_source_rows dispatch per hyper-step over
+  // every source metric's minibatch rows, through the K^-1 core of
+  // predict_std_grad_batch (bit-identical to per-point predict_std_grad).
   const std::size_t m_s = source_->n_metrics();
+  const std::size_t d_s = encoder_.out_dim();
   std::vector<Forward> fwd;
   la::Matrix enc;
   SourceGrads sg;
@@ -354,30 +372,49 @@ void KatGp::fit(util::Rng& rng) {
     const auto idx = batch < n ? rng.choice(n, batch) : rng.permutation(n);
     const std::size_t b = idx.size();
     if (fwd.size() < b) fwd.resize(b);
-    if (enc.rows() != b) enc = la::Matrix(b, encoder_.out_dim());
+    if (enc.rows() != b) enc = la::Matrix(b, d_s);
 
-    // Encode the whole minibatch once per hyper-step.
-    for (std::size_t bi = 0; bi < b; ++bi) {
-      const auto row = x_t_.row(idx[bi]);
-      la::Vector xin(row.begin(), row.end());
-      fwd[bi].enc_out = encoder_.forward(xin, fwd[bi].enc_cache);
-      enc.set_row(bi, fwd[bi].enc_out);
-    }
-    for (std::size_t k = 0; k < m_s; ++k)
-      source_->metric(k).predict_std_grad_batch(enc, sg.preds[k], sg.dmean[k],
-                                                sg.dvar[k]);
-
-    for (std::size_t bi = 0; bi < b; ++bi) {
-      Forward& f = fwd[bi];
-      f.mu_s.resize(m_s);
-      f.v_s.resize(m_s);
-      for (std::size_t k = 0; k < m_s; ++k) {
-        f.mu_s[k] = sg.preds[k][bi].mean;
-        f.v_s[k] = sg.preds[k][bi].var;
+    {
+      // Encode the whole minibatch once per hyper-step.
+      KATO_OBS_SPAN("kat_encode");
+      for (std::size_t bi = 0; bi < b; ++bi) {
+        const auto row = x_t_.row(idx[bi]);
+        la::Vector xin(row.begin(), row.end());
+        fwd[bi].enc_out = encoder_.forward(xin, fwd[bi].enc_cache);
+        enc.set_row(bi, fwd[bi].enc_out);
       }
-      f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
-      f.jac = decoder_.jacobian(f.mu_s);
-      (void)point_backward(f, idx[bi], it < warmup, sg, bi);
+    }
+    {
+      KATO_OBS_SPAN("kat_source");
+      for (std::size_t k = 0; k < m_s; ++k) {
+        sg.preds[k].resize(b);
+        if (sg.dmean[k].rows() != b) {
+          sg.dmean[k] = la::Matrix(b, d_s);
+          sg.dvar[k] = la::Matrix(b, d_s);
+        }
+      }
+      for_source_rows(m_s, b, [&](std::size_t k, std::size_t q0,
+                                  std::size_t q1) {
+        source_->metric(k).predict_std_kinv_rows(enc, q0, q1, sg.preds[k],
+                                                 &sg.dmean[k], &sg.dvar[k]);
+      });
+    }
+
+    {
+      // Decoder forward and the per-point backward pass.
+      KATO_OBS_SPAN("kat_backward");
+      for (std::size_t bi = 0; bi < b; ++bi) {
+        Forward& f = fwd[bi];
+        f.mu_s.resize(m_s);
+        f.v_s.resize(m_s);
+        for (std::size_t k = 0; k < m_s; ++k) {
+          f.mu_s[k] = sg.preds[k][bi].mean;
+          f.v_s[k] = sg.preds[k][bi].var;
+        }
+        f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
+        f.jac = decoder_.jacobian(f.mu_s);
+        (void)point_backward(f, idx[bi], it < warmup, sg, bi);
+      }
     }
     const double scale = 1.0 / static_cast<double>(idx.size());
     auto eg = encoder_.grads();
@@ -440,31 +477,28 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
     enc.set_row(i, e);
   }
 
-  // Batched source posterior: one cross-covariance + triangular solve per
-  // source metric instead of one per metric per candidate.
-  la::Matrix mu_s(q, m_s);
-  la::Matrix v_s(q, m_s);
-  for (std::size_t k = 0; k < m_s; ++k) {
-    const auto preds = source_->metric(k).predict_std_batch(enc);
-    for (std::size_t i = 0; i < q; ++i) {
-      mu_s(i, k) = preds[i].mean;
-      v_s(i, k) = preds[i].var;
-    }
-  }
+  // Batched source posterior: one dispatch over every source metric's
+  // query rows through the triangular-solve core of predict_std_batch.
+  std::vector<std::vector<GpPrediction>> preds(
+      m_s, std::vector<GpPrediction>(q));
+  for_source_rows(m_s, q, [&](std::size_t k, std::size_t q0, std::size_t q1) {
+    source_->metric(k).predict_std_rows(enc, q0, q1, preds[k]);
+  });
 
   // Decoder + Delta-method variance per candidate (cheap MLP arithmetic).
   const double noise = std::exp(log_noise_);
   std::vector<std::vector<GpPrediction>> out(q);
   nn::Mlp::Cache dec_cache;
+  la::Vector mu(m_s);
   for (std::size_t i = 0; i < q; ++i) {
-    const la::Vector mu = mu_s.row_vec(i);
+    for (std::size_t k = 0; k < m_s; ++k) mu[k] = preds[k][i].mean;
     const la::Vector mean_t = decoder_.forward(mu, dec_cache);
     const la::Matrix jac = decoder_.jacobian(mu);
     out[i].resize(m_t_);
     for (std::size_t m = 0; m < m_t_; ++m) {
       double var = noise;
       for (std::size_t k = 0; k < m_s; ++k)
-        var += jac(m, k) * jac(m, k) * v_s(i, k);
+        var += jac(m, k) * jac(m, k) * preds[k][i].var;
       out[i][m].mean = mean_t[m] * y_sd_[m] + y_mean_[m];
       out[i][m].var = var * y_sd_[m] * y_sd_[m];
     }
@@ -475,17 +509,21 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
 double KatGp::nll() const {
   const std::size_t n = x_t_.rows();
   const std::size_t m_s = source_->n_metrics();
-  // Batched evaluation sweep: encode every point, then one kinv-path batched
-  // posterior per source metric (bit-identical to per-point forward()).
+  // Batched evaluation sweep: encode every point, then one dispatch over
+  // every source metric's rows through the K^-1 core of
+  // predict_std_batch_exact (bit-identical to per-point forward()).
   la::Matrix enc(n, encoder_.out_dim());
   for (std::size_t i = 0; i < n; ++i) {
     const auto row = x_t_.row(i);
     la::Vector xin(row.begin(), row.end());
     enc.set_row(i, encoder_.forward(xin));
   }
-  std::vector<std::vector<GpPrediction>> preds(m_s);
-  for (std::size_t k = 0; k < m_s; ++k)
-    source_->metric(k).predict_std_batch_exact(enc, preds[k]);
+  std::vector<std::vector<GpPrediction>> preds(
+      m_s, std::vector<GpPrediction>(n));
+  for_source_rows(m_s, n, [&](std::size_t k, std::size_t q0, std::size_t q1) {
+    source_->metric(k).predict_std_kinv_rows(enc, q0, q1, preds[k], nullptr,
+                                             nullptr);
+  });
 
   double total = 0.0;
   Forward f;

@@ -71,9 +71,9 @@ class KatGp {
   /// Delta-method predictive per target metric, raw units.
   std::vector<GpPrediction> predict(std::span<const double> x) const;
   /// Batched prediction (out[q][m]): encodes the whole query block, then
-  /// runs each source metric's batched posterior over the encoded block so
-  /// the expensive source-GP stage shares one cross-covariance and one
-  /// triangular solve across candidates (and splits across KATO_THREADS).
+  /// runs every source metric's batched posterior over the encoded block in
+  /// one parallel_for across KATO_THREADS (each chunk builds its own
+  /// cross-covariance rows and shares one triangular solve among them).
   std::vector<std::vector<GpPrediction>> predict_batch(const la::Matrix& xq) const;
 
   /// Exact Eq. 12 negative log likelihood of the current parameters on the
@@ -95,11 +95,11 @@ class KatGp {
   };
 
   /// Per-minibatch source-GP state: posterior values plus d mu_s/dx and
-  /// d v_s/dx for every (point, metric) pair, computed by one batched
-  /// predict_std_grad_batch call per metric.  The batched values are
-  /// bit-identical to per-point predict_std_grad calls; the batch evaluates
-  /// the source kernel once per minibatch and contracts K^-1 against a block
-  /// of points per sweep instead of one row-dot per point per source point.
+  /// d v_s/dx for every (point, metric) pair, computed by one parallel_for
+  /// per hyper-step over all metrics' rows through the K^-1 core of
+  /// predict_std_grad_batch.  The values are bit-identical to per-point
+  /// predict_std_grad calls; each pool chunk evaluates the source kernel on
+  /// its own rows and contracts K^-1 against a block of points per sweep.
   struct SourceGrads {
     std::vector<std::vector<GpPrediction>> preds;  ///< [metric][point]
     std::vector<la::Matrix> dmean;                 ///< [metric]: b x d_s

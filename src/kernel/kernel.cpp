@@ -22,6 +22,21 @@ std::unique_ptr<Kernel::FitWorkspace> Kernel::fit_workspace(
   return std::make_unique<GenericFitWorkspace>(x);
 }
 
+void Kernel::posterior_input_grad(std::span<const double> x,
+                                  const la::Matrix& x2,
+                                  std::span<const double> /*kx*/,
+                                  std::span<const double> alpha,
+                                  std::span<const double> kinv_k,
+                                  std::span<double> dmean,
+                                  std::span<double> dvar) const {
+  const la::Matrix dk_dx = input_grad(x, x2);  // n2 x d
+  for (std::size_t i = 0; i < dk_dx.rows(); ++i)
+    for (std::size_t j = 0; j < dk_dx.cols(); ++j) {
+      dmean[j] += dk_dx(i, j) * alpha[i];
+      dvar[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
+    }
+}
+
 void Kernel::matrix_ws(FitWorkspace& ws, la::Matrix& k) const {
   k = matrix(static_cast<const GenericFitWorkspace&>(ws).x());
 }

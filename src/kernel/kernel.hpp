@@ -10,7 +10,14 @@
 //                 likelihood gradient dL/dK is analytic (see gp.cpp), so the
 //                 chain rule splits cleanly at the kernel-matrix boundary;
 //  * input_grad() — d k(x, x2_j)/dx, needed by KAT-GP to backpropagate
-//                 through the source GP's posterior into the encoder.
+//                 through the source GP's posterior into the encoder;
+//  * posterior_input_grad() — the same derivative already contracted into
+//                 a GP posterior's d mean/dx and d var/dx, straight from the
+//                 query's cross-covariance row.  This is the one gradient
+//                 path of GaussianProcess (per-point and batched).  The
+//                 default contracts input_grad(); StationaryArd overrides it
+//                 with a loop that allocates nothing and, for RBF, reuses
+//                 the cross row instead of a second exp (s2 dg/dr2 = -k).
 //
 // For the training loop there is additionally a fit-scoped workspace path
 // (fit_workspace / matrix_ws / backward_ws): the workspace is bound once per
@@ -57,6 +64,21 @@ class Kernel {
   /// Rows j = d k(x, x2_j) / dx; shape n2 x d.
   virtual la::Matrix input_grad(std::span<const double> x,
                                 const la::Matrix& x2) const = 0;
+
+  /// GP posterior input gradient at one query x, given its cross row
+  /// kx[i] = k(x, x2_i):
+  ///   dmean[j] += sum_i dk(x, x2_i)/dx_j * alpha[i]
+  ///   dvar[j]  += sum_i (-2 dk(x, x2_i)/dx_j) * kinv_k[i]
+  /// accumulated i-outer, j-inner.  Every implementation forms each term
+  /// exactly as the contraction of input_grad() would, so the result is
+  /// bit-identical to it (tests/kernel_test.cpp pins this).
+  virtual void posterior_input_grad(std::span<const double> x,
+                                    const la::Matrix& x2,
+                                    std::span<const double> kx,
+                                    std::span<const double> alpha,
+                                    std::span<const double> kinv_k,
+                                    std::span<double> dmean,
+                                    std::span<double> dvar) const;
 
   virtual std::unique_ptr<Kernel> clone() const = 0;
 

@@ -12,7 +12,7 @@ constexpr double k_sqrt3 = 1.7320508075688772;
 constexpr double k_sqrt5 = 2.23606797749979;
 
 double ard_r2(std::span<const double> a, std::span<const double> b,
-              const std::vector<double>& w) {
+              std::span<const double> w) {
   double r2 = 0.0;
   for (std::size_t j = 0; j < w.size(); ++j) {
     const double diff = a[j] - b[j];
@@ -203,6 +203,37 @@ la::Matrix StationaryArd::input_grad(std::span<const double> x,
     }
   }
   return out;
+}
+
+void StationaryArd::posterior_input_grad(std::span<const double> x,
+                                         const la::Matrix& x2,
+                                         std::span<const double> kx,
+                                         std::span<const double> alpha,
+                                         std::span<const double> kinv_k,
+                                         std::span<double> dmean,
+                                         std::span<double> dvar) const {
+  // Runs once per query per source metric in KAT-GP training: the ARD
+  // weights live on the stack for every realistic design-space size.
+  constexpr std::size_t k_stack_dims = 64;
+  double w_stack[k_stack_dims];
+  std::vector<double> w_heap(dim_ > k_stack_dims ? dim_ : 0);
+  const std::span<double> w(dim_ > k_stack_dims ? w_heap.data() : w_stack,
+                            dim_);
+  for (std::size_t m = 0; m < dim_; ++m) w[m] = std::exp(params_[1 + m]);
+  const double s2 = amplitude2();
+  for (std::size_t i = 0; i < x2.rows(); ++i) {
+    const auto xi = x2.row(i);
+    const double s2_dgr2 = type_ == StationaryType::rbf
+                               ? -kx[i]
+                               : s2 * dg_dr2(ard_r2(x, xi, w));
+    // Same product order as input_grad(): ((s2 dg/dr2) 2 w_m) diff_m.
+    const double c = s2_dgr2 * 2.0;
+    for (std::size_t m = 0; m < dim_; ++m) {
+      const double dk = c * w[m] * (x[m] - xi[m]);
+      dmean[m] += dk * alpha[i];
+      dvar[m] += -2.0 * dk * kinv_k[i];
+    }
+  }
 }
 
 std::unique_ptr<Kernel> StationaryArd::clone() const {

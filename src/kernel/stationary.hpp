@@ -33,6 +33,15 @@ class StationaryArd final : public Kernel {
                 std::span<double> grad) const override;
   la::Matrix input_grad(std::span<const double> x,
                         const la::Matrix& x2) const override;
+  /// Heap-free for dim <= 64; RBF takes s2 dg/dr2 = -kx[i] from the cross
+  /// row (exact: s2 (-exp(-r2)) = -(s2 exp(-r2))), the other types
+  /// recompute r2 and call dg_dr2 as input_grad() does.
+  void posterior_input_grad(std::span<const double> x, const la::Matrix& x2,
+                            std::span<const double> kx,
+                            std::span<const double> alpha,
+                            std::span<const double> kinv_k,
+                            std::span<double> dmean,
+                            std::span<double> dvar) const override;
   std::unique_ptr<Kernel> clone() const override;
 
   /// Fused training path: the workspace precomputes the pairwise squared

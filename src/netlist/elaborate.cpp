@@ -26,6 +26,17 @@ std::string temperature_problem(double kelvin, const ckt::Pdk& pdk) {
   return buf;
 }
 
+std::string subthreshold_n_problem(double n, double kelvin) {
+  const double floor = sim::device_table_min_temp(n);
+  if (kelvin >= floor) return "";
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "= %g needs more than %zu device-table cells at %g K (this n "
+                "fits only at >= %.4g K)",
+                n, sim::k_device_table_max_cells, kelvin, floor);
+  return buf;
+}
+
 std::map<std::string, double> pdk_builtins(const ckt::Pdk& pdk) {
   return {
       {"vdd", pdk.vdd},
@@ -53,9 +64,11 @@ sim::MosModel apply_model_overrides(sim::MosModel base, const ModelDef& def,
       base.cgdo = v;
     else if (key == "cj")
       base.cj_w = v;
-    else if (key == "n")
+    else if (key == "n") {
+      if (!(v > 0.0) || !std::isfinite(v))
+        throw NetlistError(expr->loc, ".model n must be finite and > 0");
       base.subthreshold_n = v;
-    else
+    } else
       throw NetlistError(expr->loc, "unknown .model parameter '" + key +
                                         "' (vth0 kp lambda cox cgdo cj n)");
   }
@@ -235,105 +248,111 @@ class Elaborator {
       if (card.kind != DeviceCard::Kind::subckt)
         for (int node : n) touch(node);
 
-      switch (card.kind) {
-        case DeviceCard::Kind::resistor:
-          out_.circuit.add_resistor(n[0], n[1], eval_expr(*card.value, env));
-          break;
-        case DeviceCard::Kind::capacitor:
-          out_.circuit.add_capacitor(n[0], n[1], eval_expr(*card.value, env));
-          break;
-        case DeviceCard::Kind::vsource: {
-          const sim::Waveform wave = build_waveform(card, env);
-          // Omitted DC value with a waveform: the operating point sits at
-          // the waveform's t = 0 value (classic SPICE behavior).
-          const double dc = card.value != nullptr
-                                ? eval_expr(*card.value, env)
-                                : sim::waveform_value(wave, 0.0, 0.0);
-          const double ac = card.ac != nullptr ? eval_expr(*card.ac, env) : 0.0;
-          int index = 0;
-          try {
-            index = out_.circuit.add_vsource(n[0], n[1], dc, ac, wave);
-          } catch (const std::invalid_argument& err) {
-            throw NetlistError(card.wave_loc, err.what());
+      // sim::Circuit rejects bad element values (R <= 0, C < 0, ...) with
+      // std::invalid_argument; locate them at the card.
+      try {
+        switch (card.kind) {
+          case DeviceCard::Kind::resistor:
+            out_.circuit.add_resistor(n[0], n[1], eval_expr(*card.value, env));
+            break;
+          case DeviceCard::Kind::capacitor:
+            out_.circuit.add_capacitor(n[0], n[1], eval_expr(*card.value, env));
+            break;
+          case DeviceCard::Kind::vsource: {
+            const sim::Waveform wave = build_waveform(card, env);
+            // Omitted DC value with a waveform: the operating point sits at
+            // the waveform's t = 0 value (classic SPICE behavior).
+            const double dc = card.value != nullptr
+                                  ? eval_expr(*card.value, env)
+                                  : sim::waveform_value(wave, 0.0, 0.0);
+            const double ac = card.ac != nullptr ? eval_expr(*card.ac, env) : 0.0;
+            int index = 0;
+            try {
+              index = out_.circuit.add_vsource(n[0], n[1], dc, ac, wave);
+            } catch (const std::invalid_argument& err) {
+              throw NetlistError(card.wave_loc, err.what());
+            }
+            out_.vsources.emplace(prefix + card.name,
+                                  static_cast<std::size_t>(index));
+            break;
           }
-          out_.vsources.emplace(prefix + card.name,
-                                static_cast<std::size_t>(index));
-          break;
-        }
-        case DeviceCard::Kind::isource:
-          out_.circuit.add_isource(n[0], n[1], eval_expr(*card.value, env));
-          break;
-        case DeviceCard::Kind::mosfet: {
-          const auto model = models_.find(card.model);
-          if (model == models_.end())
-            throw NetlistError(card.loc, "unknown MOSFET model '" + card.model +
-                                             "' (declare it with .model)");
-          const double w = eval_expr(*card.param("w"), env);
-          const double l = eval_expr(*card.param("l"), env);
-          if (!(w > 0.0) || !(l > 0.0))
-            throw NetlistError(card.loc, "MOSFET w/l must be positive");
-          out_.circuit.add_mosfet(n[0], n[1], n[2], w, l, model->second);
-          break;
-        }
-        case DeviceCard::Kind::diode: {
-          sim::Diode d;
-          if (!card.model.empty()) {
-            const auto it = diode_models_.find(card.model);
-            if (it == diode_models_.end())
-              throw NetlistError(card.loc, "unknown diode model '" +
-                                               card.model +
-                                               "' (declare it with '.model " +
-                                               card.model + " d ...')");
-            d = it->second;
+          case DeviceCard::Kind::isource:
+            out_.circuit.add_isource(n[0], n[1], eval_expr(*card.value, env));
+            break;
+          case DeviceCard::Kind::mosfet: {
+            const auto model = models_.find(card.model);
+            if (model == models_.end())
+              throw NetlistError(card.loc, "unknown MOSFET model '" + card.model +
+                                               "' (declare it with .model)");
+            const double w = eval_expr(*card.param("w"), env);
+            const double l = eval_expr(*card.param("l"), env);
+            if (!(w > 0.0) || !(l > 0.0))
+              throw NetlistError(card.loc, "MOSFET w/l must be positive");
+            out_.circuit.add_mosfet(n[0], n[1], n[2], w, l, model->second);
+            break;
           }
-          d.a = n[0];
-          d.c = n[1];
-          if (const auto area = card.param("area"))
-            d.area = eval_expr(*area, env);
-          out_.circuit.add_diode(d);
-          break;
-        }
-        case DeviceCard::Kind::vccs:
-          out_.circuit.add_vccs(n[0], n[1], n[2], n[3],
-                                eval_expr(*card.value, env));
-          break;
-        case DeviceCard::Kind::subckt: {
-          const auto sub = deck_.subckts.find(card.model);
-          if (sub == deck_.subckts.end())
-            throw NetlistError(card.loc, "unknown subckt '" + card.model + "'");
-          const Subckt& def = sub->second;
-          for (const auto& seen : stack)
-            if (seen == def.name)
-              throw NetlistError(card.loc, "cyclic subckt instantiation: '" +
-                                               def.name + "' instantiates itself");
-          if (card.nodes.size() != def.ports.size())
-            throw NetlistError(card.loc,
-                               "subckt '" + def.name + "' has " +
-                                   std::to_string(def.ports.size()) +
-                                   " port(s), instance connects " +
-                                   std::to_string(card.nodes.size()));
-          std::map<std::string, int> sub_ports;
-          for (std::size_t i = 0; i < def.ports.size(); ++i)
-            sub_ports.emplace(def.ports[i], n[i]);
-          // Instance parameters: defaults overridden by the X card, both
-          // evaluated in the PARENT scope.
-          std::map<std::string, double> sub_params;
-          for (const auto& [key, expr] : def.defaults)
-            sub_params[key] = eval_expr(*expr, env);
-          for (const auto& [key, expr] : card.params) {
-            if (sub_params.count(key) == 0)
-              throw NetlistError(expr->loc,
-                                 "subckt '" + def.name +
-                                     "' has no parameter '" + key + "'");
-            sub_params[key] = eval_expr(*expr, env);
+          case DeviceCard::Kind::diode: {
+            sim::Diode d;
+            if (!card.model.empty()) {
+              const auto it = diode_models_.find(card.model);
+              if (it == diode_models_.end())
+                throw NetlistError(card.loc, "unknown diode model '" +
+                                                 card.model +
+                                                 "' (declare it with '.model " +
+                                                 card.model + " d ...')");
+              d = it->second;
+            }
+            d.a = n[0];
+            d.c = n[1];
+            if (const auto area = card.param("area"))
+              d.area = eval_expr(*area, env);
+            out_.circuit.add_diode(d);
+            break;
           }
-          Scope sub_scope{&sub_params, &bindings_};
-          stack.push_back(def.name);
-          flatten(def.cards, prefix + card.name + ".", sub_ports, &sub_scope,
-                  stack);
-          stack.pop_back();
-          break;
+          case DeviceCard::Kind::vccs:
+            out_.circuit.add_vccs(n[0], n[1], n[2], n[3],
+                                  eval_expr(*card.value, env));
+            break;
+          case DeviceCard::Kind::subckt: {
+            const auto sub = deck_.subckts.find(card.model);
+            if (sub == deck_.subckts.end())
+              throw NetlistError(card.loc, "unknown subckt '" + card.model + "'");
+            const Subckt& def = sub->second;
+            for (const auto& seen : stack)
+              if (seen == def.name)
+                throw NetlistError(card.loc, "cyclic subckt instantiation: '" +
+                                                 def.name + "' instantiates itself");
+            if (card.nodes.size() != def.ports.size())
+              throw NetlistError(card.loc,
+                                 "subckt '" + def.name + "' has " +
+                                     std::to_string(def.ports.size()) +
+                                     " port(s), instance connects " +
+                                     std::to_string(card.nodes.size()));
+            std::map<std::string, int> sub_ports;
+            for (std::size_t i = 0; i < def.ports.size(); ++i)
+              sub_ports.emplace(def.ports[i], n[i]);
+            // Instance parameters: defaults overridden by the X card, both
+            // evaluated in the PARENT scope.
+            std::map<std::string, double> sub_params;
+            for (const auto& [key, expr] : def.defaults)
+              sub_params[key] = eval_expr(*expr, env);
+            for (const auto& [key, expr] : card.params) {
+              if (sub_params.count(key) == 0)
+                throw NetlistError(expr->loc,
+                                   "subckt '" + def.name +
+                                       "' has no parameter '" + key + "'");
+              sub_params[key] = eval_expr(*expr, env);
+            }
+            Scope sub_scope{&sub_params, &bindings_};
+            stack.push_back(def.name);
+            flatten(def.cards, prefix + card.name + ".", sub_ports, &sub_scope,
+                    stack);
+            stack.pop_back();
+            break;
+          }
         }
+      } catch (const std::invalid_argument& err) {
+        throw NetlistError(card.loc, err.what());
       }
     }
   }

@@ -14,6 +14,7 @@
 //
 // Structural lint performed here, each reported with the card's file/line:
 //   - unknown model / subckt names, wrong port counts;
+//   - element values sim::Circuit rejects (R <= 0, C < 0, ...);
 //   - cyclic .subckt instantiation;
 //   - dangling nodes (touched by fewer than two device terminals);
 //   - no ground connection anywhere in the flattened circuit.
@@ -55,6 +56,11 @@ std::map<std::string, double> pdk_builtins(const ckt::Pdk& pdk);
 /// it can): it must be finite and at least the device-table floor of the
 /// PDK's MOS models (sim::device_table_min_temp).
 std::string temperature_problem(double kelvin, const ckt::Pdk& pdk);
+
+/// Why the subthreshold slope `n` (> 0, as elaboration enforces for a MOS
+/// `.model ... n=` override) cannot be simulated at `kelvin` ("" when it
+/// can): its device table must fit sim::k_device_table_max_cells.
+std::string subthreshold_n_problem(double n, double kelvin);
 
 /// Apply the `.mc` mismatch draws for sample index `sample` to every MOSFET
 /// of an elaborated circuit: vth0 += vth_sigma * z1 and kp *= 1 + beta_sigma

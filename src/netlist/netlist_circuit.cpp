@@ -386,6 +386,24 @@ NetlistCircuit::NetlistCircuit(net::Deck deck, const Pdk& pdk)
     validate_measure(*m, trial, trial_scope, needs);
   needs_ac_ = needs.ac;
   needs_tran_ = needs.tran;
+
+  // A MOS .model n= override sets the device-table resolution, which must
+  // fit the cell cap at every temperature the deck simulates: checked here
+  // so the error points at the card instead of failing every evaluation.
+  for (const auto& def : deck_.models) {
+    if (def.diode) continue;
+    for (const auto& [key, expr] : def.overrides) {
+      if (key != "n") continue;
+      const double n = net::eval_expr(*expr, trial_scope);
+      for (const auto& c : corners_) {
+        const std::string why = net::subthreshold_n_problem(
+            n, c.temp.value_or(trial.temperature));
+        if (!why.empty())
+          throw net::NetlistError(expr->loc,
+                                  ".model '" + def.name + "': n " + why);
+      }
+    }
+  }
   if (needs_ac_ && !deck_.ac.present)
     throw net::NetlistError(needs.ac_loc,
                             "AC measure used but the deck has no "

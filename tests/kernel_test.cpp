@@ -66,6 +66,42 @@ void check_input_gradient(kern::Kernel& k, const la::Matrix& x2,
   }
 }
 
+/// posterior_input_grad is GaussianProcess's one gradient path: it must
+/// equal the i-outer, j-inner contraction of input_grad() bit for bit, at a
+/// random query and at a query sitting on a training point (r = 0).
+void check_posterior_input_grad(const kern::Kernel& k, const la::Matrix& x2,
+                                kato::util::Rng& rng) {
+  const std::size_t n = x2.rows();
+  const std::size_t d = k.input_dim();
+  la::Vector alpha(n);
+  la::Vector kinv_k(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    alpha[i] = rng.normal();
+    kinv_k[i] = rng.normal();
+  }
+  for (const auto& x : {rng.uniform_vec(d), x2.row_vec(0)}) {
+    la::Matrix xq(1, d);
+    xq.set_row(0, x);
+    const la::Matrix kx = k.cross(xq, x2);
+    const la::Matrix g = k.input_grad(x, x2);
+    // Both sides start from nonzero values to pin the "+=" semantics.
+    la::Vector dm_ref(d, 1.0);
+    la::Vector dv_ref(d, -1.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < d; ++j) {
+        dm_ref[j] += g(i, j) * alpha[i];
+        dv_ref[j] += -2.0 * g(i, j) * kinv_k[i];
+      }
+    la::Vector dm(d, 1.0);
+    la::Vector dv(d, -1.0);
+    k.posterior_input_grad(x, x2, kx.row(0), alpha, kinv_k, dm, dv);
+    for (std::size_t j = 0; j < d; ++j) {
+      EXPECT_EQ(dm[j], dm_ref[j]) << k.name() << " dim " << j;
+      EXPECT_EQ(dv[j], dv_ref[j]) << k.name() << " dim " << j;
+    }
+  }
+}
+
 void check_psd(const kern::Kernel& k, const la::Matrix& x) {
   la::Matrix m = k.matrix(x);
   // Symmetric?
@@ -132,6 +168,17 @@ TEST_P(StationaryTest, InputGradientMatchesFiniteDifference) {
   check_input_gradient(k, x2, rng, 1e-6);
 }
 
+TEST_P(StationaryTest, PosteriorInputGradEqualsInputGradContraction) {
+  kato::util::Rng rng(24);
+  // 70 dims exceeds the on-stack ARD weight buffer: the heap fallback must
+  // give the same bits.
+  for (const std::size_t d : {3, 70}) {
+    kern::StationaryArd k(GetParam(), d);
+    for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
+    check_posterior_input_grad(k, random_points(9, d, rng), rng);
+  }
+}
+
 TEST_P(StationaryTest, MatrixIsPsd) {
   kato::util::Rng rng(23);
   kern::StationaryArd k(GetParam(), 4);
@@ -173,6 +220,13 @@ TEST(PeriodicKernel, InputGradient) {
   for (auto& p : k.params()) p = rng.uniform(-0.3, 0.3);
   auto x2 = random_points(5, 2, rng);
   check_input_gradient(k, x2, rng, 1e-6);
+}
+
+TEST(PeriodicKernel, PosteriorInputGradEqualsInputGradContraction) {
+  kato::util::Rng rng(34);
+  kern::PeriodicArd k(3);
+  for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
+  check_posterior_input_grad(k, random_points(9, 3, rng), rng);
 }
 
 TEST(PeriodicKernel, MatrixIsPsd) {
@@ -236,6 +290,12 @@ TEST(NeukKernel, InputGradientMatchesFiniteDifference) {
   for (auto& p : k->params()) p += rng.uniform(-0.2, 0.2);
   auto x2 = random_points(5, 3, rng);
   check_input_gradient(*k, x2, rng, 1e-6);
+}
+
+TEST(NeukKernel, PosteriorInputGradEqualsInputGradContraction) {
+  kato::util::Rng rng(44);
+  auto k = make_neuk(3, rng);
+  check_posterior_input_grad(*k, random_points(9, 3, rng), rng);
 }
 
 TEST(NeukKernel, CloneIsIndependent) {

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 
 #include "circuits/factory.hpp"
 #include "core/experiment.hpp"
@@ -406,6 +409,58 @@ TEST(NetlistDiag, BadVarRangeCarriesLine) {
       "r2 out 0 1k\n"
       ".spec objective V V = vdc(out)\n",
       2, "need lo < hi");
+}
+
+TEST(NetlistDiag, OutOfRangeElementValueCarriesCardLine) {
+  // sim::Circuit's element checks used to escape construction as a plain
+  // std::invalid_argument with no location.
+  std::ifstream in(deck_path("buffer_tran.cir"));
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string deck = ss.str();
+  struct Mutation {
+    const char* card;
+    const char* replacement;
+    const char* needle;
+  };
+  for (const Mutation& m :
+       {Mutation{"cl out 0 {cload}", "cl out 0 {cload - 1e-9}",
+                 "capacitance must be >= 0"},
+        Mutation{"cl out 0 {cload}", "cl out 0 {cload - cc*10}",
+                 "capacitance must be >= 0"},
+        Mutation{"rz n2 nc {rz}", "rz n2 nc {-rz}",
+                 "resistance must be > 0"}}) {
+    SCOPED_TRACE(m.replacement);
+    const std::size_t at = deck.find(m.card);
+    ASSERT_NE(at, std::string::npos);
+    const int line =
+        1 + static_cast<int>(std::count(deck.begin(),
+                                        deck.begin() + static_cast<long>(at),
+                                        '\n'));
+    std::string text = deck;
+    text.replace(at, std::string(m.card).size(), m.replacement);
+    expect_diag(text, line, m.needle);
+  }
+}
+
+TEST(NetlistDiag, ModelSubthresholdNBeyondDeviceTableCarriesLine) {
+  // n = 0.1 needs ~25k device-table cells at 300 K, over the 16384 cap;
+  // this used to construct and then fail every evaluation in the sim layer.
+  const std::string head =
+      "vdd vdd 0 1.8\n"
+      ".var w 1u 10u log\n"
+      "r1 vdd d 10k\n"
+      "m1 d d 0 nx w={w} l=1u\n"
+      ".spec objective V V = vdc(d)\n";
+  expect_diag(head + ".model nx nmos n=0.1\n", 6, "device-table cells at 300 K");
+  expect_diag(head + ".model nx nmos n=-1\n", 6, "n must be finite and > 0");
+  // n = 0.2 fits at 300 K but not at 77 K, whether set by .temp or a corner.
+  EXPECT_NO_THROW(load(head + ".model nx nmos n=0.2\n"));
+  expect_diag(head + ".model nx nmos n=0.2\n.temp 77\n", 6,
+              "device-table cells at 77 K");
+  expect_diag(head + ".model nx nmos n=0.2\n.corner cold temp=77\n", 6,
+              "device-table cells at 77 K");
+  EXPECT_NO_THROW(load(head + ".model nx nmos n=1.3\n.temp 77\n"));
 }
 
 // ---------------------------------------------------------------------------

@@ -451,6 +451,69 @@ TEST(ObsHist, KatFitStageRecordsOneSamplePerAlignment) {
   obs::stats_reset();
 }
 
+TEST(ObsTrace, KatFitStepSpansNestUnderKatFit) {
+  // Every Adam step of KatGp::fit records kat_encode, kat_source and
+  // kat_backward spans, each inside the kat_fit span on the same thread.
+  kato::util::Rng rng(18);
+  la::Matrix xs(24, 2);
+  la::Matrix ys(24, 1);
+  for (std::size_t i = 0; i < xs.rows(); ++i) {
+    xs(i, 0) = rng.uniform();
+    xs(i, 1) = rng.uniform();
+    ys(i, 0) = std::sin(3.0 * xs(i, 0)) + xs(i, 1);
+  }
+  gp::MultiGp source(1, [] {
+    return std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 2);
+  });
+  source.set_data(xs, ys);
+  gp::KatGpConfig cfg;
+  cfg.init_iterations = 5;
+  gp::KatGp kat(&source, 2, 1, cfg, rng);
+  kat.set_target_data(xs, ys);
+
+  const std::string path = trace_path("obs_kat_fit_spans.json");
+  obs::trace_begin(path);
+  kat.fit(rng);
+  obs::trace_end();
+
+  struct Event {
+    std::string name;
+    std::uint32_t tid;
+    double ts;
+    double dur;
+  };
+  auto number = [](const std::string& line, const std::string& key) {
+    const auto pos = line.find("\"" + key + "\":");
+    EXPECT_NE(pos, std::string::npos) << key << " in " << line;
+    return std::strtod(line.c_str() + pos + key.size() + 3, nullptr);
+  };
+  std::vector<Event> events;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const auto name_end = line.find('"', 9);
+    events.push_back({line.substr(9, name_end - 9), event_tid(line),
+                      number(line, "ts"), number(line, "dur")});
+  }
+  const Event* fit = nullptr;
+  for (const auto& e : events)
+    if (e.name == "kat_fit") fit = &e;
+  ASSERT_NE(fit, nullptr);
+  for (const char* name : {"kat_encode", "kat_source", "kat_backward"}) {
+    SCOPED_TRACE(name);
+    int count = 0;
+    for (const auto& e : events) {
+      if (e.name != name) continue;
+      ++count;
+      EXPECT_EQ(e.tid, fit->tid);
+      EXPECT_GE(e.ts, fit->ts);
+      EXPECT_LE(e.ts + e.dur, fit->ts + fit->dur + 1e-3);
+    }
+    EXPECT_EQ(count, cfg.init_iterations);
+  }
+}
+
 TEST(ObsHist, ShardMergeBitIdenticalAcrossThreadCounts) {
   // The same multiset of durations recorded by one thread and by four must
   // merge to the same snapshot: shards hold plain integer adds, and

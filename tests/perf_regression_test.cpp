@@ -196,6 +196,67 @@ TEST(PredictBatch, KatGpAgreesWithPerPointLoop) {
   }
 }
 
+TEST(PredictBatch, KatGpFitAndRefitBitIdenticalAcrossThreadCounts) {
+  // KAT-GP's source stage, exact-NLL sweeps and predict_batch each run one
+  // parallel_for over (source metric x query rows); chunks straddle metric
+  // boundaries at 4 threads.  An initial fit plus one warm refit must give
+  // the same predict_batch bits at 1 and 4 threads.
+  auto run = [](const char* threads) {
+    ThreadsEnv env(threads);
+    kato::util::Rng rng(54);
+    const std::size_t d = 3;
+    const std::size_t m_s = 3;
+    auto source = std::make_unique<gp::MultiGp>(m_s, [] {
+      return std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 3);
+    });
+    const std::size_t n_src = 90;
+    la::Matrix xs = random_points(n_src, d, rng);
+    la::Matrix ys(n_src, m_s);
+    for (std::size_t i = 0; i < n_src; ++i) {
+      ys(i, 0) = std::sin(4.0 * xs(i, 0)) + xs(i, 1);
+      ys(i, 1) = xs(i, 1) * xs(i, 2);
+      ys(i, 2) = std::cos(3.0 * xs(i, 2)) - xs(i, 0);
+    }
+    source->set_data(xs, ys);
+    gp::GpFitOptions fit;
+    fit.iterations = 10;
+    source->fit(fit, rng);
+
+    gp::KatGpConfig cfg;
+    cfg.init_iterations = 20;
+    cfg.refit_iterations = 10;
+    cfg.eval_every = 5;
+    cfg.batch_size = 25;
+    gp::KatGp kat(source.get(), d, 2, cfg, rng);
+    auto target = [&](std::size_t n) {
+      la::Matrix xt = random_points(n, d, rng);
+      la::Matrix yt(n, 2);
+      for (std::size_t i = 0; i < n; ++i) {
+        yt(i, 0) = std::sin(4.0 * xt(i, 0)) + 1.2 * xt(i, 1);
+        yt(i, 1) = xt(i, 1) * xt(i, 2) + 0.1;
+      }
+      kat.set_target_data(xt, yt);
+    };
+    target(30);
+    kat.fit(rng);
+    target(41);
+    kat.fit(rng);
+    std::vector<double> out;
+    for (const auto& row : kat.predict_batch(random_points(37, d, rng)))
+      for (const auto& p : row) {
+        out.push_back(p.mean);
+        out.push_back(p.var);
+      }
+    return out;
+  };
+  const auto serial = run("1");
+  const auto threaded = run("4");
+  ASSERT_EQ(serial.size(), 37u * 2u * 2u);
+  ASSERT_EQ(threaded.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(serial[i], threaded[i]) << i;
+}
+
 TEST(ThreadedMace, ProposalsBitIdenticalToSingleThread) {
   const auto surr = fitted_surrogate(48);
   const std::vector<kato::ckt::MetricSpec> specs{{"c0", "", 0.5, true}};
@@ -587,24 +648,27 @@ TEST(WarmStartRefit, RefitTraceSeedReproducible) {
 // Batched source-GP gradients (the KAT-GP training hot path).
 
 TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
-  // A Neuk GP and an RBF source GP of the transfer workload's shape
-  // (n = 200).  Query counts cover a single query, partial and whole
+  // A Neuk GP and stationary source GPs of the transfer workload's shape
+  // (n = 200): RBF takes its gradient from the cross row, RQ and Matern 5/2
+  // recompute r2.  Query counts cover a single query, partial and whole
   // contraction blocks, and thread chunks that are not block multiples.
   std::vector<std::pair<const char*, gp::GaussianProcess>> models;
   models.emplace_back("neuk", fitted_neuk_gp(50, 4, 90));
-  {
+  for (const auto& [name, type] :
+       {std::pair{"rbf", kern::StationaryType::rbf},
+        std::pair{"rq", kern::StationaryType::rq},
+        std::pair{"matern52", kern::StationaryType::matern52}}) {
     kato::util::Rng rng(92);
-    gp::GaussianProcess rbf(
-        std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 6));
+    gp::GaussianProcess model(std::make_unique<kern::StationaryArd>(type, 6));
     const auto x = random_points(200, 6, rng);
     la::Vector y(x.rows());
     for (std::size_t i = 0; i < x.rows(); ++i)
       y[i] = std::sin(4.0 * x(i, 0)) + x(i, 1) * x(i, 2);
-    rbf.set_data(x, y);
+    model.set_data(x, y);
     gp::GpFitOptions opts;
     opts.iterations = 10;
-    rbf.fit(opts, rng);
-    models.emplace_back("rbf", std::move(rbf));
+    model.fit(opts, rng);
+    models.emplace_back(name, std::move(model));
   }
 
   for (const auto& [name, model] : models) {
