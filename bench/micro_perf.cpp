@@ -207,6 +207,26 @@ int main(int argc, char** argv) {
     la::Matrix spd = la::matmul_nt(a, a);
     for (std::size_t i = 0; i < spd.rows(); ++i) spd(i, i) += 256.0;
     bench("cholesky_256", [&] { sink((*la::cholesky(spd))(0, 0)); });
+    // The triangular algebra of one GP hyper-training step at the training
+    // cap (n = 192): factor, triangular inverse and inverse Gram K^-1.
+    const std::size_t n = 192;
+    const auto g = random_points(n, n, 41);
+    la::Matrix k = la::matmul_nt(g, g);
+    for (std::size_t i = 0; i < n; ++i) k(i, i) += static_cast<double>(n);
+    la::Matrix l;
+    la::Matrix kinv;
+    la::Matrix t;
+    bench("chol_inv_gram_n192", [&] {
+      la::cholesky_into(k, l);
+      la::cholesky_inverse_into(l, kinv, t);
+      sink(kinv(0, 0));
+    });
+    // The batched posterior's forward solve: L V = K_x^T for six queries.
+    const auto kx = random_points(256, 6, 42);
+    const la::Matrix l256 = *la::cholesky(spd);
+    bench("tri_solve_multi_n256_q6", [&] {
+      sink(la::solve_lower_multi(l256, kx)(255, 5));
+    });
   }
 
   // GP fit step.
@@ -221,31 +241,15 @@ int main(int argc, char** argv) {
     });
   }
 
-  // GP training loop: the pre-PR reference path (per-entry kernel forward +
-  // backward, dense 2n^3-flop inverse) vs the fused workspace path.  Each
-  // rep copies the model so every fit starts from identical hyperparameters.
-  // Pinned to one thread so gp_fit_speedup tracks the fusion win alone
-  // (the reference branch is single-threaded by construction; letting the
-  // fused branch use the pool would conflate fusion with core count).
-  double fit_ref_ms = 0.0;
+  // GP training loop: 12 Adam steps of the fused workspace path at n = 192,
+  // each rep from identical hyperparameters (the model is copied), pinned to
+  // one thread.
   double fit_ws_ms = 0.0;
   {
     const auto model = make_fitted_gp(192, 8, 21);
-    gp::GpFitOptions ref;
-    ref.iterations = 12;
-    ref.use_workspace = false;
-    gp::GpFitOptions fused = ref;
-    fused.use_workspace = true;
+    gp::GpFitOptions fused;
+    fused.iterations = 12;
     ThreadsEnv threads("1");
-    fit_ref_ms = bench(
-        "gp_fit_ref_n192x12",
-        [&] {
-          auto m = model;
-          util::Rng rng(22);
-          m.fit(ref, rng);
-          sink(m.noise_var());
-        },
-        800.0);
     fit_ws_ms = bench(
         "gp_fit_fused_n192x12",
         [&] {
@@ -255,7 +259,6 @@ int main(int argc, char** argv) {
           sink(m.noise_var());
         },
         800.0);
-    std::cout << "  -> fused fit speedup: " << fit_ref_ms / fit_ws_ms << "x\n";
   }
 
   // Multi-metric training: per-metric GPs fitted concurrently on the
@@ -1104,9 +1107,6 @@ int main(int argc, char** argv) {
     out << "  \"kat_source_grad_speedup\": "
         << (kat_batch_ms > 0.0 ? kat_loop_ms / kat_batch_ms : 0.0) << ",\n";
     out << "  \"kat_fit_refit_ms\": " << kat_refit_ms << ",\n";
-    out << "  \"gp_fit_speedup\": "
-        << (fit_ws_ms > 0.0 ? fit_ref_ms / fit_ws_ms : 0.0) << ",\n";
-    out << "  \"gp_fit_ref_ms\": " << fit_ref_ms << ",\n";
     out << "  \"gp_fit_fused_ms\": " << fit_ws_ms << ",\n";
     out << "  \"gp_fit_parallel_speedup\": "
         << (multi_par_ms > 0.0 ? multi_serial_ms / multi_par_ms : 0.0) << ",\n";

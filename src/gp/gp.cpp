@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
+#include "linalg/v2.hpp"
 #include "nn/mlp.hpp"
 #include "obs/obs.hpp"
 #include "util/fault.hpp"
@@ -17,16 +17,8 @@ namespace kato::gp {
 namespace {
 constexpr double k_two_pi = 6.283185307179586;
 
-// Two doubles per SSE2 register.  The baseline x86-64 target has no FMA
-// instruction, so `a += s * t` is a rounded multiply then a rounded add in
-// every lane: the same two roundings as la::dot's scalar loop.
-using V2 = double __attribute__((vector_size(16)));
-
-V2 load2(const double* p) {
-  V2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+using la::load2;
+using la::V2;
 
 /// Rows [r0, r1) of x as their own matrix (the query block of one chunk).
 la::Matrix row_range(const la::Matrix& x, std::size_t r0, std::size_t r1) {
@@ -85,38 +77,6 @@ void GaussianProcess::set_data(la::Matrix x, la::Vector y, bool refresh) {
     post_.reset();  // stale posterior must not outlive the data swap
 }
 
-double GaussianProcess::nll_and_grad(const la::Matrix& x, const la::Vector& y,
-                                     std::vector<double>& grad) const {
-  const std::size_t n = x.rows();
-  la::Matrix k = kernel_->matrix(x);
-  const double noise = std::max(std::exp(log_noise_), 1e-12);
-  for (std::size_t i = 0; i < n; ++i) k(i, i) += noise;
-
-  // gp:chol_fail skips the zero-jitter rung as if the factorization had
-  // failed, driving the escalating-jitter retry it exists to test.
-  const int start =
-      util::fault_fires(util::FaultSite::gp_chol_fail) ? 1 : 0;
-  const auto chol = la::cholesky_jittered(k, start);
-  if (chol.jitter > 0.0) obs::bo_count(obs::BoCounter::gp_jitter_retries);
-  const la::Vector alpha = la::cholesky_solve(chol.l, y);
-  const double logdet = la::cholesky_logdet(chol.l);
-  const double nll = 0.5 * la::dot(y, alpha) + 0.5 * logdet +
-                     0.5 * static_cast<double>(n) * std::log(k_two_pi);
-
-  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T).
-  la::Matrix dk = la::cholesky_inverse(chol.l);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      dk(i, j) = 0.5 * (dk(i, j) - alpha[i] * alpha[j]);
-
-  grad.assign(kernel_->n_params() + 1, 0.0);
-  kernel_->backward(x, dk, std::span<double>(grad.data(), kernel_->n_params()));
-  double trace = 0.0;
-  for (std::size_t i = 0; i < n; ++i) trace += dk(i, i);
-  grad[kernel_->n_params()] = trace * noise;  // dK/d log sigma^2 = sigma^2 I
-  return nll;
-}
-
 double GaussianProcess::nll_and_grad_ws(FitScratch& s, const la::Vector& y,
                                         std::vector<double>& grad) const {
   const std::size_t n = y.size();
@@ -133,40 +93,14 @@ double GaussianProcess::nll_and_grad_ws(FitScratch& s, const la::Vector& y,
   const double nll = 0.5 * la::dot(y, s.alpha) + 0.5 * logdet +
                      0.5 * static_cast<double>(n) * std::log(k_two_pi);
 
-  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), with K^-1(i,j) = <t_i, t_j> over
-  // the triangular support of T = (L^-1)^T — the inverse is contracted
-  // directly into dK, never materialized on its own.
-  la::lower_inverse_transposed_into(s.l, s.t);
-  if (s.dk.rows() != n || s.dk.cols() != n) s.dk = la::Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ti = s.t.data().data() + i * n;
-    const double ai = s.alpha[i];
-    std::size_t j = 0;
-    for (; j + 1 <= i; j += 2) {  // two columns share each ti load
-      const double* tj0 = s.t.data().data() + j * n;
-      const double* tj1 = s.t.data().data() + (j + 1) * n;
-      double k0 = 0.0;
-      double k1 = 0.0;
-      for (std::size_t k = i; k < n; ++k) {
-        k0 += ti[k] * tj0[k];
-        k1 += ti[k] * tj1[k];
-      }
-      const double v0 = 0.5 * (k0 - ai * s.alpha[j]);
-      const double v1 = 0.5 * (k1 - ai * s.alpha[j + 1]);
-      s.dk(i, j) = v0;
-      s.dk(j, i) = v0;
-      s.dk(i, j + 1) = v1;
-      s.dk(j + 1, i) = v1;
-    }
-    for (; j <= i; ++j) {
-      const double* tj = s.t.data().data() + j * n;
-      double kinv_ij = 0.0;
-      for (std::size_t k = i; k < n; ++k) kinv_ij += ti[k] * tj[k];
-      const double v = 0.5 * (kinv_ij - ai * s.alpha[j]);
+  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), formed in place over K^-1.
+  la::cholesky_inverse_into(s.l, s.dk, s.t);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double v = 0.5 * (s.dk(i, j) - s.alpha[i] * s.alpha[j]);
       s.dk(i, j) = v;
       s.dk(j, i) = v;
     }
-  }
 
   grad.assign(kernel_->n_params() + 1, 0.0);
   kernel_->backward_ws(*s.ws, s.dk,
@@ -204,7 +138,7 @@ void GaussianProcess::fit(const GpFitOptions& opts, util::Rng& rng) {
   // The workspace is bound to the subset once per fit: pairwise deltas are
   // computed here and every LML iteration below reuses the same buffers.
   FitScratch scratch;
-  if (opts.use_workspace) scratch.ws = kernel_->fit_workspace(xs);
+  scratch.ws = kernel_->fit_workspace(xs);
 
   auto pack = [&](std::vector<double>& out) {
     auto kp = kernel_->params();
@@ -224,8 +158,7 @@ void GaussianProcess::fit(const GpFitOptions& opts, util::Rng& rng) {
     unpack(theta);
     double nll;
     try {
-      nll = scratch.ws ? nll_and_grad_ws(scratch, ys, grad)
-                       : nll_and_grad(xs, ys, grad);
+      nll = nll_and_grad_ws(scratch, ys, grad);
     } catch (const std::runtime_error&) {
       break;  // kernel degenerated beyond the jitter ladder; keep best so far
     }
@@ -239,7 +172,7 @@ void GaussianProcess::fit(const GpFitOptions& opts, util::Rng& rng) {
     theta[np - 1] = std::max(theta[np - 1], std::log(opts.min_noise));
   }
   if (std::isfinite(best_nll)) unpack(best_params);
-  fit_info_ = {iters_run, best_nll, scratch.ws != nullptr};
+  fit_info_ = {iters_run, best_nll};
   obs::bo_count(obs::BoCounter::gp_fits);
   obs::bo_count(obs::BoCounter::gp_fit_iters,
                 static_cast<std::uint64_t>(iters_run));
@@ -247,6 +180,7 @@ void GaussianProcess::fit(const GpFitOptions& opts, util::Rng& rng) {
 }
 
 void GaussianProcess::refresh_posterior() {
+  KATO_OBS_SPAN("gp_refresh");
   const std::size_t n = x_.rows();
   la::Matrix k = kernel_->matrix(x_);
   const double noise = std::max(std::exp(log_noise_), 1e-12);
@@ -454,9 +388,11 @@ void GaussianProcess::predict_std_batch_exact(
 }
 
 double GaussianProcess::nll() const {
+  // The training path on the full data (gradient discarded).
+  FitScratch scratch;
+  scratch.ws = kernel_->fit_workspace(x_);
   std::vector<double> grad;
-  // Reuse the training path on the full data (gradient discarded).
-  return nll_and_grad(x_, y_std_, grad);
+  return nll_and_grad_ws(scratch, y_std_, grad);
 }
 
 MultiGp::MultiGp(std::size_t n_metrics,

@@ -26,10 +26,6 @@ struct GpFitOptions {
   double lr = 0.05;                 ///< Adam learning rate
   std::size_t max_train_points = 192;  ///< subsample cap for hyper-training
   double min_noise = 1e-6;          ///< noise floor (standardized space)
-  /// Use the fused kernel workspace path (one transcendental per pair per
-  /// LML iteration, allocation-free loop).  The reference per-entry path is
-  /// kept for A/B checks and benchmarking; both agree to ~1e-12.
-  bool use_workspace = true;
 };
 
 struct GpPrediction {
@@ -42,7 +38,6 @@ struct GpPrediction {
 struct GpFitInfo {
   int iterations = 0;    ///< Adam steps executed
   double best_nll = 0.0; ///< best subset NLL seen during the fit
-  bool workspace = false;  ///< fused path used
 };
 
 class GaussianProcess {
@@ -141,14 +136,14 @@ class GaussianProcess {
     la::Matrix kinv;
   };
 
-  /// Reusable heap state for the allocation-free LML loop: the kernel
-  /// workspace plus every matrix/vector the per-iteration algebra touches.
+  /// Reusable heap state for the LML loop: the kernel workspace plus every
+  /// matrix/vector the per-iteration algebra touches.
   struct FitScratch {
     std::unique_ptr<kern::Kernel::FitWorkspace> ws;
     la::Matrix k;      ///< kernel matrix (+ noise on the diagonal)
     la::Matrix l;      ///< Cholesky factor
-    la::Matrix t;      ///< (L^-1)^T; contracted straight into dk
-    la::Matrix dk;     ///< dNLL/dK
+    la::Matrix t;      ///< (L^-1)^T, scratch of cholesky_inverse_into
+    la::Matrix dk;     ///< K^-1, then dNLL/dK in place
     la::Vector alpha;
     la::Vector tmp;
   };
@@ -156,11 +151,8 @@ class GaussianProcess {
   /// Queries per blocked K^-1 contraction (four two-lane accumulators).
   static constexpr std::size_t kinv_block = 8;
 
-  /// NLL and gradient (kernel params then log-noise) on the given subset.
-  double nll_and_grad(const la::Matrix& x, const la::Vector& y,
-                      std::vector<double>& grad) const;
-  /// Fused-workspace variant: same result to ~1e-12, several times faster
-  /// and allocation-free after the first iteration.
+  /// NLL and gradient (kernel params then log-noise) on the subset bound to
+  /// s.ws, reusing s's buffers across iterations.
   double nll_and_grad_ws(FitScratch& s, const la::Vector& y,
                          std::vector<double>& grad) const;
   void refresh_posterior();

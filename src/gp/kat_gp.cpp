@@ -13,15 +13,16 @@ namespace kato::gp {
 namespace {
 constexpr double k_log_two_pi = 1.8378770664093453;
 
-/// Inverse of a small SPD matrix via Cholesky (m_t is 1-4 here).
-la::Matrix small_spd_inverse(const la::Matrix& a) {
-  const auto chol = la::cholesky_jittered(a);
-  return la::cholesky_inverse(chol.l);
-}
+struct SmallSpd {
+  la::Matrix inv;
+  double logdet;
+};
 
-double small_spd_logdet(const la::Matrix& a) {
-  const auto chol = la::cholesky_jittered(a);
-  return la::cholesky_logdet(chol.l);
+/// Inverse and log-determinant of a small SPD matrix (m_t is 1-4 here) from
+/// one jittered Cholesky factor, written into the caller's reused `l`.
+SmallSpd small_spd_factor(const la::Matrix& a, la::Matrix& l) {
+  la::cholesky_jittered_into(a, l);
+  return {la::cholesky_inverse(l), la::cholesky_logdet(l)};
 }
 
 /// One parallel_for over every (source metric, query row) pair of an
@@ -144,7 +145,8 @@ KatGp::Forward KatGp::forward(std::span<const double> x) const {
   return f;
 }
 
-double KatGp::point_nll(const Forward& f, std::size_t row) const {
+double KatGp::point_nll(const Forward& f, std::size_t row,
+                        la::Matrix& chol) const {
   const double noise = std::exp(log_noise_);
   la::Matrix sigma(m_t_, m_t_);
   for (std::size_t a = 0; a < m_t_; ++a)
@@ -156,14 +158,15 @@ double KatGp::point_nll(const Forward& f, std::size_t row) const {
     }
   la::Vector r(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) r[m] = y_t_std_(row, m) - f.mean_t[m];
-  const la::Matrix sigma_inv = small_spd_inverse(sigma);
+  const auto [sigma_inv, logdet] = small_spd_factor(sigma, chol);
   const la::Vector w = la::matvec(sigma_inv, r);
-  return 0.5 * la::dot(r, w) + 0.5 * small_spd_logdet(sigma) +
+  return 0.5 * la::dot(r, w) + 0.5 * logdet +
          0.5 * static_cast<double>(m_t_) * k_log_two_pi;
 }
 
 double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
-                             const SourceGrads& sg, std::size_t brow) {
+                             const SourceGrads& sg, std::size_t brow,
+                             la::Matrix& chol) {
   const std::size_t m_s = f.v_s.size();
   const double noise = std::exp(log_noise_);
 
@@ -198,9 +201,9 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
   la::Vector r(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) r[m] = y_t_std_(row, m) - f.mean_t[m];
 
-  const la::Matrix sigma_inv = small_spd_inverse(sigma);
+  const auto [sigma_inv, logdet] = small_spd_factor(sigma, chol);
   const la::Vector w = la::matvec(sigma_inv, r);
-  const double nll = 0.5 * la::dot(r, w) + 0.5 * small_spd_logdet(sigma) +
+  const double nll = 0.5 * la::dot(r, w) + 0.5 * logdet +
                      0.5 * static_cast<double>(m_t_) * k_log_two_pi;
 
   // dNLL/dSigma = 0.5 (Sigma^-1 - w w^T).
@@ -360,6 +363,7 @@ void KatGp::fit(util::Rng& rng) {
   std::vector<Forward> fwd;
   la::Matrix enc;
   SourceGrads sg;
+  la::Matrix sigma_chol;
   sg.preds.resize(m_s);
   sg.dmean.resize(m_s);
   sg.dvar.resize(m_s);
@@ -413,7 +417,7 @@ void KatGp::fit(util::Rng& rng) {
         }
         f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
         f.jac = decoder_.jacobian(f.mu_s);
-        (void)point_backward(f, idx[bi], it < warmup, sg, bi);
+        (void)point_backward(f, idx[bi], it < warmup, sg, bi, sigma_chol);
       }
     }
     const double scale = 1.0 / static_cast<double>(idx.size());
@@ -527,6 +531,7 @@ double KatGp::nll() const {
 
   double total = 0.0;
   Forward f;
+  la::Matrix sigma_chol;
   f.mu_s.resize(m_s);
   f.v_s.resize(m_s);
   for (std::size_t i = 0; i < n; ++i) {
@@ -536,7 +541,7 @@ double KatGp::nll() const {
     }
     f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
     f.jac = decoder_.jacobian(f.mu_s);
-    total += point_nll(f, i);
+    total += point_nll(f, i, sigma_chol);
   }
   return total / static_cast<double>(n);
 }

@@ -107,14 +107,17 @@ class KatGp {
   };
 
   Forward forward(std::span<const double> x) const;
-  /// NLL of one target point given a forward pass.
-  double point_nll(const Forward& f, std::size_t row) const;
+  /// NLL of one target point given a forward pass.  `chol` is a reused
+  /// buffer for the factor of the point's m_t x m_t predictive covariance.
+  double point_nll(const Forward& f, std::size_t row, la::Matrix& chol) const;
   /// Accumulate gradients for one point into encoder/decoder grads and
   /// d/d log sigma_t^2; returns the point loss.  With mean_only the loss is
   /// the squared error of the predictive mean (warmup phase).  `sg`/`brow`
-  /// supply the batched source posterior gradients for this point.
+  /// supply the batched source posterior gradients for this point; `chol`
+  /// is as in point_nll.
   double point_backward(const Forward& f, std::size_t row, bool mean_only,
-                        const SourceGrads& sg, std::size_t brow);
+                        const SourceGrads& sg, std::size_t brow,
+                        la::Matrix& chol);
 
   const MultiGp* source_;
   std::size_t d_t_;

@@ -32,7 +32,8 @@ JitteredCholesky cholesky_jittered(const Matrix& a, int start_attempt = 0);
 Vector solve_lower(const Matrix& l, const Vector& b);
 /// Solve L X = B for an n x m right-hand-side block in one forward sweep —
 /// the batched-prediction path shares this single triangular solve across
-/// all query columns instead of re-solving per candidate.
+/// all query columns instead of re-solving per candidate.  Tiled two rows
+/// by four query columns (see the order contract below).
 Matrix solve_lower_multi(const Matrix& l, const Matrix& b);
 /// Solve L^T x = b (back substitution) with L lower triangular.
 Vector solve_lower_transposed(const Matrix& l, const Vector& b);
@@ -46,12 +47,28 @@ double cholesky_logdet(const Matrix& l);
 // --- Workspace-aware variants for the GP training loop ---
 // The LML loop factors, solves and inverts once per Adam step; these
 // overloads write into caller-owned buffers (resized on first use, reused
-// afterwards) so the loop is allocation-free, and the inverse runs through a
-// triangular inversion instead of 2n dense triangular solves (~3x fewer
-// flops, contiguous row access).
+// afterwards), and the inverse runs through a triangular inversion instead
+// of 2n dense triangular solves (~3x fewer flops, contiguous row access).
+//
+// Order contract of the register-tiled kernels (cholesky_into,
+// lower_inverse_transposed_into, cholesky_inverse_into, solve_lower_multi).
+// Each output entry is one scalar recurrence: it starts from 0.0 or its seed
+// value (the input entry, or the right-hand side), takes its terms in
+// increasing k, and applies each as a separate multiply and add (no FMA).
+// A tile only changes which entries share registers and loads, never an
+// entry's own k order, so the outputs are bit-identical to the plain loops
+// (pinned byte for byte in tests/linalg_test.cpp).  Two seed details only
+// change the sign of an exact zero, and both are kept as they have always
+// been:
+//   - lower_inverse_transposed_into seeds even columns with -(l t) and odd
+//     columns with 0.0 - l t (they differ when l t is a zero);
+//   - solve_lower_multi skips terms with l(i, k) == 0, which keeps a -0.0
+//     right-hand side entry at -0.0 and a non-finite x(k, j) out of row i.
 
 /// Factor a (+ jitter on the diagonal) into the caller's buffer `l`.
 /// Returns false when not numerically positive definite; `a` is unchanged.
+/// Blocked in 48-column panels: four rows at a time in the diagonal block,
+/// eight in the panel solve, 4 x 4 tiles in the trailing update.
 bool cholesky_into(const Matrix& a, Matrix& l, double jitter = 0.0);
 
 /// Jitter-ladder factorization into `l` (same ladder as cholesky_jittered).
@@ -65,13 +82,12 @@ void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
                          Vector& tmp);
 
 /// t = (L^{-1})^T, upper triangular, row-major (row r holds column r of
-/// L^{-1}): both this inversion and the syrk in cholesky_inverse_into walk
-/// contiguous rows.
+/// L^{-1}).  Eight columns per sweep, two rows at a time.
 void lower_inverse_transposed_into(const Matrix& l, Matrix& t);
 
 /// inv = (L L^T)^{-1} via T = (L^{-1})^T and inv = T T^T restricted to the
-/// triangular support.  Exactly symmetric by construction.  `t_scratch` is a
-/// caller-owned buffer.
+/// triangular support, in 4 x 4 tiles.  Exactly symmetric by construction.
+/// `t_scratch` is a caller-owned buffer.
 void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch);
 
 }  // namespace kato::la

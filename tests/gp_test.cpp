@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "gp/gp.hpp"
 #include "gp/kat_gp.hpp"
@@ -381,4 +382,103 @@ TEST(KatGp, RejectsMismatchedData) {
   gp::KatGp kat(ts.source.get(), 2, 1, cfg, rng);
   la::Matrix bad_x(10, 3);  // wrong target dim
   EXPECT_THROW(kat.set_target_data(bad_x, ts.yt), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded training pins: a full fit at the hyper-training cap (n = 192,
+// 80 Adam steps) must reproduce these best NLLs and hyperparameters bit for
+// bit.  Every step runs the whole dense algebra (Cholesky, triangular
+// inverse, inverse Gram), so any change to an entry's summation order in
+// those kernels shows up here.
+
+namespace {
+
+gp::GaussianProcess pinned_fit(bool use_neuk) {
+  kato::util::Rng rng(71);
+  const std::size_t n = 192;
+  const std::size_t d = 4;
+  std::unique_ptr<kern::Kernel> k;
+  if (use_neuk)
+    k = std::make_unique<kern::NeukKernel>(d, kern::NeukConfig{}, rng);
+  else
+    k = rbf(d);
+  gp::GaussianProcess model(std::move(k));
+  la::Matrix x(n, d);
+  for (auto& v : x.data()) v = rng.uniform();
+  la::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i)
+    y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1) * x(i, 2) +
+           0.1 * std::cos(5.0 * x(i, 3));
+  model.set_data(x, y, false);
+  gp::GpFitOptions opts;
+  opts.iterations = 80;
+  kato::util::Rng fit_rng(72);
+  model.fit(opts, fit_rng);
+  return model;
+}
+
+void expect_pinned(const gp::GaussianProcess& model, double best_nll,
+                   double noise, const std::vector<double>& params) {
+  EXPECT_EQ(model.last_fit_info().iterations, 80);
+  EXPECT_EQ(model.last_fit_info().best_nll, best_nll);
+  EXPECT_EQ(model.noise_var(), noise);
+  const auto p = model.kernel().params();
+  ASSERT_EQ(p.size(), params.size());
+  for (std::size_t i = 0; i < p.size(); ++i)
+    EXPECT_EQ(p[i], params[i]) << "param " << i;
+}
+
+}  // namespace
+
+TEST(GaussianProcess, RbfFitPinnedAtTrainingCap) {
+  expect_pinned(pinned_fit(false), -0x1.aaa86d250dabap+8,
+                0x1.93f3bfc611549p-13,
+                {
+                    0x1.3705a200a394bp+1, -0x1.6a860de131bd5p-2,
+                    -0x1.23c69764155fbp+1, -0x1.219f4348ae178p+1,
+                    -0x1.0353cdd3afc27p-1,
+                });
+}
+
+TEST(GaussianProcess, NeukFitPinnedAtTrainingCap) {
+  expect_pinned(pinned_fit(true), -0x1.00e5714d184ap+9,
+                0x1.d29999c7c9bb4p-14,
+                {
+                    0x1.4d464c0e17863p-5, -0x1.6219e3ddb907cp-9,
+                    -0x1.a0a78514f9f98p-11, 0x1.9ff2d2c45562ep-10,
+                    0x1.d19d5e3410c22p-3, 0x1.fffb54b0b4c5ap-9,
+                    -0x1.b53c114757e7cp-8, -0x1.25f4afa70bf4p-7,
+                    0x1.782af27f0d9a4p-7, 0x1.b3ea071bf8094p-11,
+                    0x1.b18e4c4ed98bcp-10, -0x1.931b5782d8b04p-7,
+                    -0x1.0ce7c03336798p-1, -0x1.980fd2c2d5534p-10,
+                    0x1.77973891ffe06p-8, 0x1.f2e10e34924fp-10,
+                    0x1.bcfb5a9ae4bf7p-5, 0x1.269abcbbd4a1ap-4,
+                    -0x1.a2083a98abae9p-3, 0x1.167889229668cp-7,
+                    0x1.4154ca4f78b21p-9, -0x1.a35a35fb24a6ap-5,
+                    -0x1.8bae8dd762dd8p-5, 0x1.048a33ea3fbe2p-4,
+                    0x1.b87de7fd3ab9p-11, 0x1.e7db518b59cdp-5,
+                    0x1.f4d3285a354a1p-5, 0x1.6c7f79ff661a7p-2,
+                    0x1.4e4511e8550cfp-9, -0x1.02de38364f59ep-3,
+                    -0x1.ccfd836a95dc3p-4, 0x1.43b489215edd8p-3,
+                    -0x1.02ccabf8dadf1p-6, 0x1.5239e5f51f351p-5,
+                    0x1.5817eb031cb8bp-5, 0x1.792c38c220579p-3,
+                    -0x1.526f581cc405ep-6, 0x1.53cf63e6f9f97p-5,
+                    0x1.20cf1eb5e2087p-4, -0x1.d5756c4c9244cp-5,
+                    -0x1.57d96d8740a8ep+0, 0x1.245c4853f7da2p-8,
+                    0x1.27f702d676ddfp-3, -0x1.2b1b2a89eebdap-3,
+                    0x1.a1071fe67c46p-9, -0x1.667cd57c9ab34p-10,
+                    -0x1.9b3ae7fd5e207p-9, -0x1.28a8fe7cbff56p-8,
+                    0x1.b6bab694d7ceep-8, 0x1.5b5bd0d5e3ff8p-8,
+                    -0x1.9ee6c8a96c07ep-8, 0x1.77458d02e0331p-7,
+                    -0x1.836886e0db8d5p-8, 0x1.153e38a721473p-8,
+                    0x1.484b159a176fp-7, -0x1.ba14b9408e89ep-10,
+                    -0x1.a981a9ff6754cp-10, 0x1.7d342f381bb39p-3,
+                    -0x1.881ba2621d164p-3, 0x1.06f7ae6cf0e47p-3,
+                    -0x1.3f97943de5f73p-3, 0x1.70d0cb64eb276p+0,
+                    -0x1.1e392099e0f7bp+0, -0x1.3d762aac46eabp+0,
+                    -0x1.c727e5d8989abp+0, -0x1.192cb43d17c93p+0,
+                    -0x1.657f18ba374a6p+0, -0x1.022a612342961p+1,
+                    0x1.96c7130e07e66p+0, 0x1.96c7130e07e66p+0,
+                    -0x1.9ceb4a4df0d91p-3,
+                });
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
@@ -250,4 +253,181 @@ TEST(Cholesky, BlockedSolveMatchesDirectResidual) {
   const la::Vector x = la::cholesky_solve(*l, rhs);
   const la::Vector ax = la::matvec(spd, x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// The register-tiled triangular kernels against scalar references.  Each
+// reference below is the plain loop the tiled routine replaces: one
+// accumulator per entry, summed in increasing k.  The tiles only change
+// which entries share registers, so the outputs must match byte for byte
+// (memcmp), including the sign of every exact zero.
+
+namespace {
+
+constexpr std::size_t k_ref_block = 48;
+
+bool ref_cholesky(const la::Matrix& a, la::Matrix& l) {
+  const std::size_t n = a.rows();
+  l = la::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
+  for (std::size_t j0 = 0; j0 < n; j0 += k_ref_block) {
+    const std::size_t j1 = std::min(n, j0 + k_ref_block);
+    for (std::size_t j = j0; j < j1; ++j) {
+      double diag = l(j, j);
+      for (std::size_t k = j0; k < j; ++k) diag -= l(j, k) * l(j, k);
+      if (!(diag > 0.0) || !std::isfinite(diag)) return false;
+      const double ljj = std::sqrt(diag);
+      l(j, j) = ljj;
+      for (std::size_t i = j + 1; i < j1; ++i) {
+        double s = l(i, j);
+        for (std::size_t k = j0; k < j; ++k) s -= l(i, k) * l(j, k);
+        l(i, j) = s / ljj;
+      }
+    }
+    for (std::size_t i = j1; i < n; ++i)
+      for (std::size_t c = j0; c < j1; ++c) {
+        double s = l(i, c);
+        for (std::size_t k = j0; k < c; ++k) s -= l(i, k) * l(c, k);
+        l(i, c) = s / l(c, c);
+      }
+    for (std::size_t i = j1; i < n; ++i)
+      for (std::size_t j = j1; j <= i; ++j) {
+        double s = 0.0;
+        for (std::size_t k = j0; k < j1; ++k) s += l(i, k) * l(j, k);
+        l(i, j) -= s;
+      }
+  }
+  return true;
+}
+
+/// t = (L^{-1})^T with columns in pairs: a pair's first column seeds its
+/// sums with -(l t), its second with 0.0 - l t.
+la::Matrix ref_lower_inverse_transposed(const la::Matrix& l) {
+  const std::size_t n = l.rows();
+  la::Matrix t(n, n);
+  std::size_t j = 0;
+  for (; j + 1 < n; j += 2) {
+    t(j, j) = 1.0 / l(j, j);
+    t(j, j + 1) = -l(j + 1, j) * t(j, j) / l(j + 1, j + 1);
+    t(j + 1, j + 1) = 1.0 / l(j + 1, j + 1);
+    for (std::size_t i = j + 2; i < n; ++i) {
+      double s0 = -l(i, j) * t(j, j);
+      double s1 = 0.0;
+      for (std::size_t k = j + 1; k < i; ++k) {
+        s0 -= l(i, k) * t(j, k);
+        s1 -= l(i, k) * t(j + 1, k);
+      }
+      t(j, i) = s0 / l(i, i);
+      t(j + 1, i) = s1 / l(i, i);
+    }
+  }
+  for (; j < n; ++j) {
+    t(j, j) = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t k = j; k < i; ++k) s -= l(i, k) * t(j, k);
+      t(j, i) = s / l(i, i);
+    }
+  }
+  return t;
+}
+
+la::Matrix ref_cholesky_inverse(const la::Matrix& l) {
+  const std::size_t n = l.rows();
+  const la::Matrix t = ref_lower_inverse_transposed(l);
+  la::Matrix inv(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = 0.0;
+      for (std::size_t k = i; k < n; ++k) s += t(i, k) * t(j, k);
+      inv(i, j) = s;
+      inv(j, i) = s;
+    }
+  return inv;
+}
+
+la::Matrix ref_solve_lower_multi(const la::Matrix& l, const la::Matrix& b) {
+  la::Matrix x = b;
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    for (std::size_t k = 0; k < i; ++k) {
+      if (l(i, k) == 0.0) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) x(i, j) -= l(i, k) * x(k, j);
+    }
+    const double inv = 1.0 / l(i, i);
+    for (std::size_t j = 0; j < b.cols(); ++j) x(i, j) *= inv;
+  }
+  return x;
+}
+
+bool same_bytes(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+const std::size_t k_tile_sizes[] = {1,  2,  3,  4,   5,   7,   47,  48,  49, 50,
+                                    95, 96, 97, 191, 192, 193, 255, 256, 257};
+
+/// SPD test matrices of size n: dense (random B B^T + n I), and one whose
+/// entries vanish between indices of different parity, so its factor, its
+/// inverse and the solves see exact zeros of both signs.
+std::vector<la::Matrix> tile_test_matrices(std::size_t n) {
+  const auto b = random_matrix(n, n, 300 + n);
+  la::Matrix dense = la::matmul_nt(b, b);
+  for (std::size_t i = 0; i < n; ++i) dense(i, i) += static_cast<double>(n);
+  la::Matrix split = dense;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if ((i + j) % 2 == 1) split(i, j) = 0.0;
+  return {dense, split};
+}
+
+}  // namespace
+
+TEST(TriangularTiles, CholeskyMatchesScalarReferenceBytes) {
+  for (const std::size_t n : k_tile_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix ref;
+      la::Matrix l;
+      ASSERT_TRUE(ref_cholesky(a, ref));
+      ASSERT_TRUE(la::cholesky_into(a, l));
+      EXPECT_TRUE(same_bytes(l, ref)) << "n=" << n;
+    }
+}
+
+TEST(TriangularTiles, InversesMatchScalarReferenceBytes) {
+  for (const std::size_t n : k_tile_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix l;
+      ASSERT_TRUE(ref_cholesky(a, l));
+      la::Matrix t;
+      la::lower_inverse_transposed_into(l, t);
+      EXPECT_TRUE(same_bytes(t, ref_lower_inverse_transposed(l))) << "n=" << n;
+      la::Matrix inv;
+      la::Matrix scratch;
+      la::cholesky_inverse_into(l, inv, scratch);
+      EXPECT_TRUE(same_bytes(inv, ref_cholesky_inverse(l))) << "n=" << n;
+    }
+}
+
+TEST(TriangularTiles, MultiSolveMatchesScalarReferenceBytes) {
+  const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 24};
+  for (const std::size_t n : k_tile_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix l;
+      ASSERT_TRUE(ref_cholesky(a, l));
+      for (const std::size_t m : widths) {
+        la::Matrix rhs = random_matrix(n, m, 400 + n * 31 + m);
+        // Column j < 2: -0.0 on rows of parity 1 - j, negative on the
+        // others.  Against the split matrix those rows of the solution stay
+        // exact zeros whose sign depends on skipping the l(i, k) == 0 terms.
+        for (std::size_t j = 0; j < std::min<std::size_t>(m, 2); ++j)
+          for (std::size_t i = 0; i < n; ++i)
+            rhs(i, j) = (i + j) % 2 == 1 ? -0.0 : -1.0 - std::abs(rhs(i, j));
+        EXPECT_TRUE(same_bytes(la::solve_lower_multi(l, rhs),
+                               ref_solve_lower_multi(l, rhs)))
+            << "n=" << n << " m=" << m;
+      }
+    }
 }

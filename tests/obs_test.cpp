@@ -514,6 +514,41 @@ TEST(ObsTrace, KatFitStepSpansNestUnderKatFit) {
   }
 }
 
+TEST(ObsTrace, GpFitRecordsPosteriorRefreshSpan) {
+  // A fit ends by rebuilding the posterior (factor, alpha, K^-1) on the full
+  // data: that rebuild is its own gp_refresh span inside the gp_fit span.
+  kato::util::Rng rng(19);
+  la::Matrix x(30, 2);
+  la::Vector y(30);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    x(i, 0) = rng.uniform();
+    x(i, 1) = rng.uniform();
+    y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1);
+  }
+  gp::GaussianProcess model(
+      std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 2));
+  model.set_data(x, y, false);
+  gp::GpFitOptions opts;
+  opts.iterations = 3;
+
+  const std::string path = trace_path("obs_gp_refresh_span.json");
+  obs::trace_begin(path);
+  model.fit(opts, rng);
+  obs::trace_end();
+
+  std::ifstream in(path);
+  std::string line;
+  int fits = 0;
+  int refreshes = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    if (line.rfind("{\"name\":\"gp_fit\"", 0) == 0) ++fits;
+    if (line.rfind("{\"name\":\"gp_refresh\"", 0) == 0) ++refreshes;
+  }
+  EXPECT_EQ(fits, 1);
+  EXPECT_EQ(refreshes, 1);
+}
+
 TEST(ObsHist, ShardMergeBitIdenticalAcrossThreadCounts) {
   // The same multiset of durations recorded by one thread and by four must
   // merge to the same snapshot: shards hold plain integer adds, and

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "kernel/neuk.hpp"
 #include "kernel/stationary.hpp"
 #include "linalg/cholesky.hpp"
+#include "nn/mlp.hpp"
 #include "util/parallel.hpp"
 
 namespace gp = kato::gp;
@@ -470,42 +472,110 @@ TEST(FusedKernel, PeriodicFallsBackToGenericPath) {
   check_fused_matches_reference(k, 25, 66);
 }
 
-TEST(FusedKernel, GpFitAgreesWithReferencePath) {
-  // One full fit through each path from the same warm start must land on the
-  // same hyperparameters (the paths agree to ~1e-12 per step).
-  const auto make = [] { return fitted_neuk_gp(48, 4, 67); };
-  gp::GpFitOptions ref;
-  ref.iterations = 5;
-  ref.use_workspace = false;
-  gp::GpFitOptions fused = ref;
-  fused.use_workspace = true;
+namespace {
 
-  auto m_ref = make();
-  auto m_ws = make();
-  kato::util::Rng r1(68);
-  kato::util::Rng r2(68);
-  m_ref.fit(ref, r1);
-  m_ws.fit(fused, r2);
-  EXPECT_FALSE(m_ref.last_fit_info().workspace);
-  EXPECT_TRUE(m_ws.last_fit_info().workspace);
-  EXPECT_EQ(m_ref.last_fit_info().iterations, 5);
-  EXPECT_EQ(m_ws.last_fit_info().iterations, 5);
+/// NLL and gradient through the per-entry kernel path (matrix/backward)
+/// and the dense solve-based inverse: the reference the fit's fused
+/// workspace path is checked against.
+double reference_nll_and_grad(const kern::Kernel& k, double log_noise,
+                              const la::Matrix& x, const la::Vector& y,
+                              std::vector<double>& grad) {
+  const std::size_t n = x.rows();
+  la::Matrix km = k.matrix(x);
+  const double noise = std::max(std::exp(log_noise), 1e-12);
+  for (std::size_t i = 0; i < n; ++i) km(i, i) += noise;
+  const auto chol = la::cholesky_jittered(km);
+  const la::Vector alpha = la::cholesky_solve(chol.l, y);
+  const double nll = 0.5 * la::dot(y, alpha) +
+                     0.5 * la::cholesky_logdet(chol.l) +
+                     0.5 * static_cast<double>(n) * std::log(6.283185307179586);
+  la::Matrix dk = la::cholesky_inverse(chol.l);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      dk(i, j) = 0.5 * (dk(i, j) - alpha[i] * alpha[j]);
+  grad.assign(k.n_params() + 1, 0.0);
+  k.backward(x, dk, std::span<double>(grad.data(), k.n_params()));
+  double trace = 0.0;
+  for (std::size_t i = 0; i < n; ++i) trace += dk(i, i);
+  grad.back() = trace * noise;
+  return nll;
+}
+
+struct ReferenceFit {
+  std::unique_ptr<kern::Kernel> kernel;  ///< at the best parameters
+  double log_noise = 0.0;
+  double best_nll = 0.0;
+};
+
+/// GaussianProcess::fit's Adam loop (full data, no subsampling) over
+/// reference_nll_and_grad, from the model's current hyperparameters.
+ReferenceFit reference_fit(const gp::GaussianProcess& m, const la::Vector& y,
+                           const gp::GpFitOptions& opts) {
+  ReferenceFit out{m.kernel().clone(), std::log(m.noise_var()),
+                   std::numeric_limits<double>::infinity()};
+  auto kp = out.kernel->params();
+  const std::size_t np = kp.size() + 1;
+  std::vector<double> theta(kp.begin(), kp.end());
+  theta.push_back(out.log_noise);
+  std::vector<double> best = theta;
+  std::vector<double> grad;
+  kato::nn::Adam adam(np, opts.lr);
+  for (int it = 0; it < opts.iterations; ++it) {
+    std::copy(theta.begin(), theta.end() - 1, kp.begin());
+    const double nll = reference_nll_and_grad(*out.kernel, theta.back(),
+                                              m.train_x(), y, grad);
+    if (nll < out.best_nll) {
+      out.best_nll = nll;
+      best = theta;
+    }
+    adam.step(theta, grad);
+    theta.back() = std::max(theta.back(), std::log(opts.min_noise));
+  }
+  std::copy(best.begin(), best.end() - 1, kp.begin());
+  out.log_noise = best.back();
+  return out;
+}
+
+}  // namespace
+
+TEST(FusedKernel, GpFitAgreesWithReferencePath) {
+  // A fit through the fused workspace path and the reference loop above,
+  // from the same warm start, must land on the same model (the paths agree
+  // to ~1e-12 per step).
+  auto m = fitted_neuk_gp(48, 4, 67);
+  la::Vector y_std(m.n_data());
+  for (std::size_t i = 0; i < y_std.size(); ++i) {
+    const auto x = m.train_x().row(i);
+    y_std[i] = (std::sin(3.0 * x[0]) + 0.5 * x[1] - m.y_mean()) / m.y_std();
+  }
+  gp::GpFitOptions opts;
+  opts.iterations = 5;
+  const ReferenceFit ref = reference_fit(m, y_std, opts);
+  kato::util::Rng rng(68);
+  m.fit(opts, rng);
+  EXPECT_EQ(m.last_fit_info().iterations, 5);
+  expect_rel_near(ref.best_nll, m.last_fit_info().best_nll, 1e-9, "best nll",
+                  0);
 
   // The Neuk primitive biases are flat directions of the likelihood (the
   // primitives are stationary in u, so K is invariant to them): their exact
   // gradient is 0 and Adam steps them on cancellation noise in *both* paths.
-  // Compare what is actually determined by the data — the fitted model's
-  // NLL and predictions — rather than raw parameters.
-  expect_rel_near(m_ref.nll(), m_ws.nll(), 1e-9, "nll", 0);
-  expect_rel_near(m_ref.noise_var(), m_ws.noise_var(), 1e-9, "noise", 0);
+  // Compare what is actually determined by the data — the NLL, the noise
+  // and the kernel values — rather than raw parameters.
+  std::vector<double> grad;
+  expect_rel_near(
+      reference_nll_and_grad(*ref.kernel, ref.log_noise, m.train_x(), y_std,
+                             grad),
+      reference_nll_and_grad(m.kernel(), std::log(m.noise_var()),
+                             m.train_x(), y_std, grad),
+      1e-9, "nll", 0);
+  expect_rel_near(std::exp(ref.log_noise), m.noise_var(), 1e-9, "noise", 0);
   kato::util::Rng qrng(69);
   const auto q = random_points(7, 4, qrng);
-  for (std::size_t i = 0; i < q.rows(); ++i) {
-    const auto a = m_ref.predict(q.row(i));
-    const auto b = m_ws.predict(q.row(i));
-    expect_rel_near(a.mean, b.mean, 1e-9, "mean", i);
-    expect_rel_near(a.var, b.var, 1e-9, "var", i);
-  }
+  const la::Matrix k_ref = ref.kernel->cross(q, m.train_x());
+  const la::Matrix k_fit = m.kernel().cross(q, m.train_x());
+  for (std::size_t i = 0; i < k_ref.data().size(); ++i)
+    expect_rel_near(k_ref.data()[i], k_fit.data()[i], 1e-9, "k(q, x)", i);
 }
 
 // ---------------------------------------------------------------------------
