@@ -529,6 +529,7 @@ const char* to_string(ConstrainedMethod m) {
 TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
                                      std::size_t n_samples, KernelKind kind,
                                      std::uint64_t seed) {
+  KATO_OBS_SPAN("build_transfer_source");
   util::Rng rng(seed);
   TransferSource src;
   src.dim = circuit.dim();

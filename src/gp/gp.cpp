@@ -310,57 +310,69 @@ void GaussianProcess::predict_std_kinv_rows(const la::Matrix& xq,
   const auto& p = posterior();
   const std::size_t n = x_.rows();
   const la::Matrix kx = kernel_->cross(row_range(xq, q0, q1), x_);  // w x n
+  const bool mean_only = dmean_dx != nullptr && dvar_dx == nullptr;
 
   // tile: n x kinv_block, the block's rows of kx transposed (unused lanes
   // zero) so one sweep over a row of K^-1 feeds every query at once.
-  // kinv_k: row j is K^-1 k of the block's query j.
-  std::vector<double> tile(n * kinv_block);
-  la::Matrix kinv_k(kinv_block, n);
+  // kinv_k: row j is K^-1 k of the block's query j.  The mean-only mode
+  // never contracts K^-1.
+  std::vector<double> tile(mean_only ? 0 : n * kinv_block);
+  la::Matrix kinv_k(mean_only ? 0 : kinv_block, n);
   static_assert(kinv_block == 8, "four two-lane accumulators");
   for (std::size_t b0 = 0; b0 < q1 - q0; b0 += kinv_block) {
     const std::size_t w = std::min(kinv_block, q1 - q0 - b0);
-    for (std::size_t k = 0; k < n; ++k) {
-      double* t = tile.data() + k * kinv_block;
-      for (std::size_t j = 0; j < kinv_block; ++j)
-        t[j] = j < w ? kx(b0 + j, k) : 0.0;
-    }
-
-    // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(b0+j,k)
-    // from 0.0 in increasing k with a separate multiply and add: la::dot's
-    // exact summation order, so every query's K^-1 k is bit-identical to
-    // the per-point la::matvec (K^-1 is exactly symmetric).
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* ki = p.kinv.row(i).data();
-      const double* t = tile.data();
-      V2 a0 = {0.0, 0.0};
-      V2 a1 = a0;
-      V2 a2 = a0;
-      V2 a3 = a0;
-      for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
-        const V2 s = {ki[k], ki[k]};
-        a0 += s * load2(t);
-        a1 += s * load2(t + 2);
-        a2 += s * load2(t + 4);
-        a3 += s * load2(t + 6);
+    if (!mean_only) {
+      for (std::size_t k = 0; k < n; ++k) {
+        double* t = tile.data() + k * kinv_block;
+        for (std::size_t j = 0; j < kinv_block; ++j)
+          t[j] = j < w ? kx(b0 + j, k) : 0.0;
       }
-      const V2 acc[4] = {a0, a1, a2, a3};
-      for (std::size_t j = 0; j < w; ++j) kinv_k(j, i) = acc[j / 2][j % 2];
+
+      // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(b0+j,k)
+      // from 0.0 in increasing k with a separate multiply and add:
+      // la::dot's exact summation order, so every query's K^-1 k is
+      // bit-identical to the per-point la::matvec (K^-1 is exactly
+      // symmetric).
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* ki = p.kinv.row(i).data();
+        const double* t = tile.data();
+        V2 a0 = {0.0, 0.0};
+        V2 a1 = a0;
+        V2 a2 = a0;
+        V2 a3 = a0;
+        for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
+          const V2 s = {ki[k], ki[k]};
+          a0 += s * load2(t);
+          a1 += s * load2(t + 2);
+          a2 += s * load2(t + 4);
+          a3 += s * load2(t + 6);
+        }
+        const V2 acc[4] = {a0, a1, a2, a3};
+        for (std::size_t j = 0; j < w; ++j) kinv_k(j, i) = acc[j / 2][j % 2];
+      }
     }
 
     for (std::size_t j = 0; j < w; ++j) {
       const std::size_t q = q0 + b0 + j;
       const auto kv = kx.row(b0 + j);
       const double mean = la::dot(kv, p.alpha);
-      const double var = std::max(
-          kernel_->diag(xq.row(q)) - la::dot(kv, kinv_k.row(j)), 1e-12);
+      const double var =
+          mean_only ? std::numeric_limits<double>::quiet_NaN()
+                    : std::max(kernel_->diag(xq.row(q)) -
+                                   la::dot(kv, kinv_k.row(j)),
+                               1e-12);
       preds[q] = {mean, var};
       if (dmean_dx == nullptr) continue;
       auto dm = dmean_dx->row(q);
-      auto dv = dvar_dx->row(q);
       std::fill(dm.begin(), dm.end(), 0.0);
-      std::fill(dv.begin(), dv.end(), 0.0);
-      kernel_->posterior_input_grad(xq.row(q), x_, kv, p.alpha, kinv_k.row(j),
-                                    dm, dv);
+      std::span<double> dv;
+      if (!mean_only) {
+        dv = dvar_dx->row(q);
+        std::fill(dv.begin(), dv.end(), 0.0);
+      }
+      kernel_->posterior_input_grad(
+          xq.row(q), x_, kv, p.alpha,
+          mean_only ? std::span<const double>() : kinv_k.row(j), dm, dv);
     }
   }
 }
@@ -439,11 +451,28 @@ std::vector<GpPrediction> MultiGp::predict(std::span<const double> x) const {
 
 std::vector<std::vector<GpPrediction>> MultiGp::predict_batch(
     const la::Matrix& xq) const {
-  std::vector<std::vector<GpPrediction>> out(xq.rows());
-  for (auto& row : out) row.reserve(gps_.size());
-  for (const auto& g : gps_) {
-    const auto preds = g.predict_batch(xq);
-    for (std::size_t q = 0; q < preds.size(); ++q) out[q].push_back(preds[q]);
+  const std::size_t q = xq.rows();
+  if (q > 0 && xq.cols() != gps_.front().input_dim())
+    throw std::invalid_argument("MultiGp::predict_batch: dim mismatch");
+  // One dispatch over every metric's query rows through the triangular-solve
+  // core of GaussianProcess::predict_std_batch, then raw units per metric.
+  std::vector<std::vector<GpPrediction>> preds(gps_.size(),
+                                               std::vector<GpPrediction>(q));
+  for_metric_rows(gps_.size(), q, [&](std::size_t m, std::size_t q0,
+                                      std::size_t q1) {
+    gps_[m].predict_std_rows(xq, q0, q1, preds[m]);
+  });
+  std::vector<std::vector<GpPrediction>> out(q,
+                                             std::vector<GpPrediction>(gps_.size()));
+  for (std::size_t m = 0; m < gps_.size(); ++m) {
+    const double sd = gps_[m].y_std();
+    const double mu = gps_[m].y_mean();
+    for (std::size_t i = 0; i < q; ++i) {
+      GpPrediction p = preds[m][i];
+      p.mean = p.mean * sd + mu;
+      p.var *= sd * sd;
+      out[i][m] = p;
+    }
   }
   return out;
 }

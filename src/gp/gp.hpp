@@ -11,12 +11,14 @@
 // unless the *_std variants are used (the KAT-GP transfer path works in
 // standardized space so the encoder/decoder see O(1) values).
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
 
 #include "kernel/kernel.hpp"
 #include "linalg/cholesky.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace kato::gp {
@@ -99,9 +101,9 @@ class GaussianProcess {
   /// Serial row-range cores of the batched posteriors: queries [q0, q1) of
   /// xq, written to preds[q0..q1) (preds must already hold xq.rows()
   /// entries).  Each builds its queries' cross-covariance rows itself, so a
-  /// caller can dispatch one parallel_for over several GPs' rows (KAT-GP's
-  /// source stage runs every source metric in one dispatch) and get exactly
-  /// the values of the batch methods above.
+  /// caller can dispatch one parallel_for over several GPs' rows
+  /// (for_metric_rows below, as MultiGp::predict_batch and KAT-GP's source
+  /// stage do) and get exactly the values of the batch methods above.
   ///
   /// Triangular-solve core of predict_std_batch.
   void predict_std_rows(const la::Matrix& xq, std::size_t q0, std::size_t q1,
@@ -110,6 +112,9 @@ class GaussianProcess {
   /// K^-1 k for kinv_block queries per register-blocked sweep over K^-1.
   /// With non-null dmean_dx/dvar_dx (xq.rows() x d, pre-sized) it also
   /// writes their rows q0..q1 via the kernel's posterior_input_grad.
+  /// Non-null dmean_dx with null dvar_dx is the mean-only mode (KAT-GP's
+  /// warm-up): mean and d mean/dx with the same arithmetic, no K^-1
+  /// contraction, and preds[q].var set to NaN.
   void predict_std_kinv_rows(const la::Matrix& xq, std::size_t q0,
                              std::size_t q1, std::vector<GpPrediction>& preds,
                              la::Matrix* dmean_dx, la::Matrix* dvar_dx) const;
@@ -168,6 +173,23 @@ class GaussianProcess {
   GpFitInfo fit_info_;
 };
 
+/// One parallel_for over every (metric, query row) pair of an m x b index
+/// space: fn(k, q0, q1) runs metric k's serial row-range core on query rows
+/// [q0, q1).  A chunk that straddles two metrics becomes two calls; each
+/// row's values never depend on the split.
+template <class Fn>
+void for_metric_rows(std::size_t m, std::size_t b, const Fn& fn) {
+  util::parallel_for(m * b, [&](std::size_t r0, std::size_t r1) {
+    while (r0 < r1) {
+      const std::size_t k = r0 / b;
+      const std::size_t q0 = r0 % b;
+      const std::size_t q1 = std::min(b, q0 + (r1 - r0));
+      fn(k, q0, q1);
+      r0 += q1 - q0;
+    }
+  });
+}
+
 /// Independent per-metric GPs sharing one input set — the surrogate layout
 /// used for constrained sizing (one GP for the objective, one per constraint).
 class MultiGp {
@@ -185,7 +207,9 @@ class MultiGp {
   void fit(const GpFitOptions& opts, util::Rng& rng);
 
   std::vector<GpPrediction> predict(std::span<const double> x) const;
-  /// Batched prediction: out[q][m] is metric m's posterior at query row q.
+  /// Batched prediction: out[q][m] is metric m's posterior at query row q,
+  /// bit-identical to each metric's predict_batch, from one dispatch over
+  /// every (metric, query row) pair.
   std::vector<std::vector<GpPrediction>> predict_batch(const la::Matrix& xq) const;
 
   std::size_t n_metrics() const { return gps_.size(); }

@@ -24,23 +24,6 @@ SmallSpd small_spd_factor(const la::Matrix& a, la::Matrix& l) {
   la::cholesky_jittered_into(a, l);
   return {la::cholesky_inverse(l), la::cholesky_logdet(l)};
 }
-
-/// One parallel_for over every (source metric, query row) pair of an
-/// m_s x b index space: fn(k, q0, q1) runs source metric k's serial
-/// row-range core on query rows [q0, q1).  A chunk that straddles two
-/// metrics becomes two calls; each row's values never depend on the split.
-template <class Fn>
-void for_source_rows(std::size_t m_s, std::size_t b, const Fn& fn) {
-  util::parallel_for(m_s * b, [&](std::size_t r0, std::size_t r1) {
-    while (r0 < r1) {
-      const std::size_t k = r0 / b;
-      const std::size_t q0 = r0 % b;
-      const std::size_t q1 = std::min(b, q0 + (r1 - r0));
-      fn(k, q0, q1);
-      r0 += q1 - q0;
-    }
-  });
-}
 }  // namespace
 
 KatGp::KatGp(const MultiGp* source, std::size_t target_dim,
@@ -141,7 +124,7 @@ KatGp::Forward KatGp::forward(std::span<const double> x) const {
     f.v_s[k] = p.var;
   }
   f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
-  f.jac = decoder_.jacobian(f.mu_s);
+  f.jac = decoder_.jacobian(f.dec_cache);
   return f;
 }
 
@@ -164,32 +147,34 @@ double KatGp::point_nll(const Forward& f, std::size_t row,
          0.5 * static_cast<double>(m_t_) * k_log_two_pi;
 }
 
-double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
-                             const SourceGrads& sg, std::size_t brow,
-                             la::Matrix& chol) {
-  const std::size_t m_s = f.v_s.size();
-  const double noise = std::exp(log_noise_);
+void KatGp::point_grad(Forward& f, std::size_t row, bool mean_only,
+                       const SourceGrads& sg, std::size_t brow, PointGrad& g,
+                       la::Matrix& chol) const {
+  const std::size_t m_s = sg.preds.size();
+  const std::size_t d_s = f.enc_out.size();
+  f.mu_s.resize(m_s);
+  for (std::size_t k = 0; k < m_s; ++k) f.mu_s[k] = sg.preds[k][brow].mean;
+  f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
 
   if (mean_only) {
-    // Warmup phase: L = 0.5 ||y - mean_t||^2.
+    // Warmup phase: L = 0.5 ||y - mean_t||^2, upstream dL/dmean_t = -r.
     la::Vector dmean(m_t_);
-    double loss = 0.0;
-    for (std::size_t m = 0; m < m_t_; ++m) {
-      const double r = y_t_std_(row, m) - f.mean_t[m];
-      loss += 0.5 * r * r;
-      dmean[m] = -r;
-    }
-    la::Vector dmu = decoder_.backward(f.dec_cache, dmean);
-    const std::size_t d_s = f.enc_out.size();
+    for (std::size_t m = 0; m < m_t_; ++m)
+      dmean[m] = -(y_t_std_(row, m) - f.mean_t[m]);
+    const la::Vector dmu = decoder_.backprop(f.dec_cache, dmean, g.dec_delta);
     la::Vector dxs(d_s, 0.0);
     for (std::size_t k = 0; k < m_s; ++k) {
       const auto dmean_dx = sg.dmean[k].row(brow);
       for (std::size_t j = 0; j < d_s; ++j) dxs[j] += dmu[k] * dmean_dx[j];
     }
-    (void)encoder_.backward(f.enc_cache, dxs);
-    return loss;
+    (void)encoder_.backprop(f.enc_cache, dxs, g.enc_delta);
+    return;
   }
 
+  f.v_s.resize(m_s);
+  for (std::size_t k = 0; k < m_s; ++k) f.v_s[k] = sg.preds[k][brow].var;
+  f.jac = decoder_.jacobian(f.dec_cache);
+  const double noise = std::exp(log_noise_);
   la::Matrix sigma(m_t_, m_t_);
   for (std::size_t a = 0; a < m_t_; ++a)
     for (std::size_t b = 0; b < m_t_; ++b) {
@@ -201,10 +186,8 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
   la::Vector r(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) r[m] = y_t_std_(row, m) - f.mean_t[m];
 
-  const auto [sigma_inv, logdet] = small_spd_factor(sigma, chol);
+  const la::Matrix sigma_inv = small_spd_factor(sigma, chol).inv;
   const la::Vector w = la::matvec(sigma_inv, r);
-  const double nll = 0.5 * la::dot(r, w) + 0.5 * logdet +
-                     0.5 * static_cast<double>(m_t_) * k_log_two_pi;
 
   // dNLL/dSigma = 0.5 (Sigma^-1 - w w^T).
   la::Matrix dsigma(m_t_, m_t_);
@@ -214,7 +197,7 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
 
   double trace = 0.0;
   for (std::size_t a = 0; a < m_t_; ++a) trace += dsigma(a, a);
-  noise_grad_ += trace * noise;
+  g.noise = trace * noise;
 
   // dNLL/dv_k = J[:,k]^T dSigma J[:,k].
   la::Vector dv(m_s, 0.0);
@@ -229,7 +212,7 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
   // Decoder: upstream dNLL/dmean_t = -w.
   la::Vector dmean(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) dmean[m] = -w[m];
-  la::Vector dmu = decoder_.backward(f.dec_cache, dmean);  // dNLL/dmu_s
+  la::Vector dmu = decoder_.backprop(f.dec_cache, dmean, g.dec_delta);
 
   // ---- Exact gradient through the Delta-method Jacobian ----
   // J = W2 diag(s'(a)) W1 with a = W1 mu_s + b1 (one hidden layer).
@@ -258,26 +241,26 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
         t(k, j) = s;
       }
 
-    auto w1g = decoder_.weight_grad(0);
-    auto w2g = decoder_.weight_grad(1);
-    auto b1g = decoder_.bias_grad(0);
+    g.jac_w1.resize(h * m_s);
+    g.jac_w2.resize(m_t_ * h);
+    g.jac_b1.resize(h);
     for (std::size_t k = 0; k < h; ++k) {
       const double sp = nn::activate_deriv(act, a_pre[k]);
       const double spp = nn::activate_second_deriv(act, a_pre[k]);
-      // dW2[p,k] += sum_j dJ[p,j] s'(a_k) W1[k,j].
+      // dW2[p,k] = sum_j dJ[p,j] s'(a_k) W1[k,j].
       for (std::size_t p = 0; p < m_t_; ++p) {
         double s = 0.0;
         for (std::size_t j = 0; j < m_s; ++j) s += dj(p, j) * w1[k * m_s + j];
-        w2g[p * h + k] += sp * s;
+        g.jac_w2[p * h + k] = sp * s;
       }
       // g_k = sum_j T[k,j] W1[k,j]; da_k = g_k s''(a_k).
-      double g = 0.0;
-      for (std::size_t j = 0; j < m_s; ++j) g += t(k, j) * w1[k * m_s + j];
-      const double da = g * spp;
-      b1g[k] += da;
+      double gk = 0.0;
+      for (std::size_t j = 0; j < m_s; ++j) gk += t(k, j) * w1[k * m_s + j];
+      const double da = gk * spp;
+      g.jac_b1[k] = da;
       for (std::size_t j = 0; j < m_s; ++j) {
         // explicit-W1 path + activation path.
-        w1g[k * m_s + j] += sp * t(k, j) + da * f.mu_s[j];
+        g.jac_w1[k * m_s + j] = sp * t(k, j) + da * f.mu_s[j];
         // a depends on the decoder input mu_s as well.
         dmu[j] += da * w1[k * m_s + j];
       }
@@ -285,7 +268,6 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
   }
 
   // Source GP posterior: chain d mu/dx_s and d var/dx_s into the encoder.
-  const std::size_t d_s = f.enc_out.size();
   la::Vector dxs(d_s, 0.0);
   for (std::size_t k = 0; k < m_s; ++k) {
     const auto dmean_dx = sg.dmean[k].row(brow);
@@ -293,8 +275,29 @@ double KatGp::point_backward(const Forward& f, std::size_t row, bool mean_only,
     for (std::size_t j = 0; j < d_s; ++j)
       dxs[j] += dmu[k] * dmean_dx[j] + dv[k] * dvar_dx[j];
   }
-  (void)encoder_.backward(f.enc_cache, dxs);
-  return nll;
+  (void)encoder_.backprop(f.enc_cache, dxs, g.enc_delta);
+}
+
+void KatGp::accumulate_point(const Forward& f, bool mean_only,
+                             const PointGrad& g) {
+  if (!mean_only) noise_grad_ += g.noise;
+  decoder_.accumulate_grads(f.dec_cache, g.dec_delta);
+  if (!mean_only) {
+    // The Jacobian-path terms land after the decoder's own backprop terms.
+    auto w1g = decoder_.weight_grad(0);
+    auto w2g = decoder_.weight_grad(1);
+    auto b1g = decoder_.bias_grad(0);
+    const std::size_t h = decoder_.layer_out(0);
+    const std::size_t m_s = decoder_.in_dim();
+    for (std::size_t k = 0; k < h; ++k) {
+      for (std::size_t p = 0; p < m_t_; ++p)
+        w2g[p * h + k] += g.jac_w2[p * h + k];
+      b1g[k] += g.jac_b1[k];
+      for (std::size_t j = 0; j < m_s; ++j)
+        w1g[k * m_s + j] += g.jac_w1[k * m_s + j];
+    }
+  }
+  encoder_.accumulate_grads(f.enc_cache, g.enc_delta);
 }
 
 void KatGp::fit(util::Rng& rng) {
@@ -349,21 +352,20 @@ void KatGp::fit(util::Rng& rng) {
 
   pack();
   consider_best();
+  bool evaluated = true;  // best-tracking has seen the current theta
   // The regularizer anchors to the parameters at the start of this fit —
   // the identity-biased init on the first call, the previous optimum on
   // refits — so transfer stays conservative unless the data insists.
   const std::vector<double> anchor = theta;
 
-  // Reused minibatch buffers: the encoder caches live across iterations and
-  // the source stage is one for_source_rows dispatch per hyper-step over
-  // every source metric's minibatch rows, through the K^-1 core of
-  // predict_std_grad_batch (bit-identical to per-point predict_std_grad).
+  // Minibatch buffers reused across Adam steps: per-point forward caches
+  // and gradient records, the encoded block and the source posterior.
   const std::size_t m_s = source_->n_metrics();
   const std::size_t d_s = encoder_.out_dim();
   std::vector<Forward> fwd;
+  std::vector<PointGrad> pg;
   la::Matrix enc;
   SourceGrads sg;
-  la::Matrix sigma_chol;
   sg.preds.resize(m_s);
   sg.dmean.resize(m_s);
   sg.dvar.resize(m_s);
@@ -373,13 +375,18 @@ void KatGp::fit(util::Rng& rng) {
     encoder_.zero_grad();
     decoder_.zero_grad();
     noise_grad_ = 0.0;
+    const bool mean_only = it < warmup;
     const auto idx = batch < n ? rng.choice(n, batch) : rng.permutation(n);
     const std::size_t b = idx.size();
-    if (fwd.size() < b) fwd.resize(b);
+    if (fwd.size() < b) {
+      fwd.resize(b);
+      pg.resize(b);
+    }
     if (enc.rows() != b) enc = la::Matrix(b, d_s);
 
     {
-      // Encode the whole minibatch once per hyper-step.
+      // Serial: the whole minibatch encodes in about the time a pool
+      // dispatch takes to wake its workers.
       KATO_OBS_SPAN("kat_encode");
       for (std::size_t bi = 0; bi < b; ++bi) {
         const auto row = x_t_.row(idx[bi]);
@@ -389,6 +396,8 @@ void KatGp::fit(util::Rng& rng) {
       }
     }
     {
+      // One dispatch over every source metric's minibatch rows; the
+      // warm-up reads only mu_s and d mu_s/dx.
       KATO_OBS_SPAN("kat_source");
       for (std::size_t k = 0; k < m_s; ++k) {
         sg.preds[k].resize(b);
@@ -397,28 +406,25 @@ void KatGp::fit(util::Rng& rng) {
           sg.dvar[k] = la::Matrix(b, d_s);
         }
       }
-      for_source_rows(m_s, b, [&](std::size_t k, std::size_t q0,
+      for_metric_rows(m_s, b, [&](std::size_t k, std::size_t q0,
                                   std::size_t q1) {
-        source_->metric(k).predict_std_kinv_rows(enc, q0, q1, sg.preds[k],
-                                                 &sg.dmean[k], &sg.dvar[k]);
+        source_->metric(k).predict_std_kinv_rows(
+            enc, q0, q1, sg.preds[k], &sg.dmean[k],
+            mean_only ? nullptr : &sg.dvar[k]);
       });
     }
 
     {
-      // Decoder forward and the per-point backward pass.
+      // Per-point gradient work on the pool, then the additions into the
+      // shared gradients serially in point order.
       KATO_OBS_SPAN("kat_backward");
-      for (std::size_t bi = 0; bi < b; ++bi) {
-        Forward& f = fwd[bi];
-        f.mu_s.resize(m_s);
-        f.v_s.resize(m_s);
-        for (std::size_t k = 0; k < m_s; ++k) {
-          f.mu_s[k] = sg.preds[k][bi].mean;
-          f.v_s[k] = sg.preds[k][bi].var;
-        }
-        f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
-        f.jac = decoder_.jacobian(f.mu_s);
-        (void)point_backward(f, idx[bi], it < warmup, sg, bi, sigma_chol);
-      }
+      util::parallel_for(b, [&](std::size_t b0, std::size_t b1) {
+        la::Matrix chol;
+        for (std::size_t bi = b0; bi < b1; ++bi)
+          point_grad(fwd[bi], idx[bi], mean_only, sg, bi, pg[bi], chol);
+      });
+      for (std::size_t bi = 0; bi < b; ++bi)
+        accumulate_point(fwd[bi], mean_only, pg[bi]);
     }
     const double scale = 1.0 / static_cast<double>(idx.size());
     auto eg = encoder_.grads();
@@ -438,14 +444,18 @@ void KatGp::fit(util::Rng& rng) {
     }
     adam.step(theta, grad);
     theta[np - 1] = std::max(theta[np - 1], std::log(config_.min_noise));
+    evaluated = false;
     if (it >= warmup &&
         (config_.eval_every > 0 && (it + 1) % config_.eval_every == 0)) {
       unpack();
       consider_best();
+      evaluated = true;
     }
   }
-  unpack();
-  consider_best();
+  if (!evaluated) {
+    unpack();
+    consider_best();
+  }
   theta = best_theta;
   unpack();
   fitted_once_ = true;
@@ -485,7 +495,7 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
   // query rows through the triangular-solve core of predict_std_batch.
   std::vector<std::vector<GpPrediction>> preds(
       m_s, std::vector<GpPrediction>(q));
-  for_source_rows(m_s, q, [&](std::size_t k, std::size_t q0, std::size_t q1) {
+  for_metric_rows(m_s, q, [&](std::size_t k, std::size_t q0, std::size_t q1) {
     source_->metric(k).predict_std_rows(enc, q0, q1, preds[k]);
   });
 
@@ -497,7 +507,7 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
   for (std::size_t i = 0; i < q; ++i) {
     for (std::size_t k = 0; k < m_s; ++k) mu[k] = preds[k][i].mean;
     const la::Vector mean_t = decoder_.forward(mu, dec_cache);
-    const la::Matrix jac = decoder_.jacobian(mu);
+    const la::Matrix jac = decoder_.jacobian(dec_cache);
     out[i].resize(m_t_);
     for (std::size_t m = 0; m < m_t_; ++m) {
       double var = noise;
@@ -511,39 +521,55 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
 }
 
 double KatGp::nll() const {
+  KATO_OBS_SPAN("kat_nll");
   const std::size_t n = x_t_.rows();
   const std::size_t m_s = source_->n_metrics();
-  // Batched evaluation sweep: encode every point, then one dispatch over
-  // every source metric's rows through the K^-1 core of
-  // predict_std_batch_exact (bit-identical to per-point forward()).
+  // Batched evaluation sweep: encode every point (serially, as in fit()),
+  // one dispatch over every source metric's rows through the K^-1 core of
+  // predict_std_batch_exact (bit-identical to per-point forward()), then
+  // the per-point NLLs on the pool, summed in point order.
   la::Matrix enc(n, encoder_.out_dim());
+  nn::Mlp::Cache enc_cache;
   for (std::size_t i = 0; i < n; ++i) {
     const auto row = x_t_.row(i);
     la::Vector xin(row.begin(), row.end());
-    enc.set_row(i, encoder_.forward(xin));
+    enc.set_row(i, encoder_.forward(xin, enc_cache));
   }
   std::vector<std::vector<GpPrediction>> preds(
       m_s, std::vector<GpPrediction>(n));
-  for_source_rows(m_s, n, [&](std::size_t k, std::size_t q0, std::size_t q1) {
+  for_metric_rows(m_s, n, [&](std::size_t k, std::size_t q0, std::size_t q1) {
     source_->metric(k).predict_std_kinv_rows(enc, q0, q1, preds[k], nullptr,
                                              nullptr);
   });
 
-  double total = 0.0;
-  Forward f;
-  la::Matrix sigma_chol;
-  f.mu_s.resize(m_s);
-  f.v_s.resize(m_s);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < m_s; ++k) {
-      f.mu_s[k] = preds[k][i].mean;
-      f.v_s[k] = preds[k][i].var;
+  std::vector<double> point(n);
+  util::parallel_for(n, [&](std::size_t i0, std::size_t i1) {
+    Forward f;
+    la::Matrix sigma_chol;
+    f.mu_s.resize(m_s);
+    f.v_s.resize(m_s);
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t k = 0; k < m_s; ++k) {
+        f.mu_s[k] = preds[k][i].mean;
+        f.v_s[k] = preds[k][i].var;
+      }
+      f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
+      f.jac = decoder_.jacobian(f.dec_cache);
+      point[i] = point_nll(f, i, sigma_chol);
     }
-    f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
-    f.jac = decoder_.jacobian(f.mu_s);
-    total += point_nll(f, i, sigma_chol);
-  }
+  });
+  double total = 0.0;
+  for (const double v : point) total += v;
   return total / static_cast<double>(n);
+}
+
+std::vector<double> KatGp::params() const {
+  const auto ep = encoder_.params();
+  const auto dp = decoder_.params();
+  std::vector<double> theta(ep.begin(), ep.end());
+  theta.insert(theta.end(), dp.begin(), dp.end());
+  theta.push_back(log_noise_);
+  return theta;
 }
 
 }  // namespace kato::gp

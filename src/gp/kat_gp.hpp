@@ -15,12 +15,13 @@
 // Training maximizes the Gaussian likelihood of the target data (Eq. 12) with
 // Adam over encoder weights, decoder weights and the target noise.  Gradients
 // flow through the decoder (backprop), through the source GP posterior
-// (analytic d mean/dx, d var/dx from GaussianProcess::predict_std_grad) and
-// into the encoder (backprop).  The gradient through the Jacobian J inside
-// the Delta-method covariance is computed exactly for the paper's one-hidden-
-// layer decoder: with D(u) = W2 s(W1 u + b1) + b2 the Jacobian factors as
-// J = W2 diag(s'(a)) W1, whose parameter- and input-derivatives are closed
-// form (they involve s'').  All gradients are finite-difference checked in
+// (analytic d mean/dx, d var/dx from the K^-1 row core
+// GaussianProcess::predict_std_kinv_rows) and into the encoder (backprop).
+// The gradient through the Jacobian J inside the Delta-method covariance is
+// computed exactly for the paper's one-hidden-layer decoder: with
+// D(u) = W2 s(W1 u + b1) + b2 the Jacobian factors as J = W2 diag(s'(a)) W1,
+// whose parameter- and input-derivatives are closed form (they involve
+// s'').  All gradients are finite-difference checked in
 // tests/gp_test.cpp.
 //
 // The first fit begins with a mean-warmup phase (squared-error loss on the
@@ -28,7 +29,16 @@
 // sink local optimum of Eq. 12 — inflate sigma_t to "explain" the residuals
 // and leave the encoder untrained — because the mean path needs coordinated
 // encoder+decoder progress while the variance path has an easy one-parameter
-// fix.  Warmup removes that shortcut while the alignment forms.
+// fix.  Warmup removes that shortcut while the alignment forms.  Its steps
+// compute only what the mean loss reads: the source stage runs mean-only
+// (no K^-1 contraction, no variances) and the decoder Jacobian is skipped.
+//
+// Each Adam step encodes the minibatch (serially: it is too little work
+// for a pool dispatch), runs the source stage as one pool dispatch over
+// (source metric x point), then the const per-point gradient work
+// (decoder, Delta-method covariance, backprop deltas) on the pool.  Only the additions into the shared parameter
+// gradients run serially, in point order, so every gradient entry receives
+// the same additions in the same order at any KATO_THREADS.
 //
 // All alignment happens in standardized spaces: inputs live in unit boxes,
 // the decoder consumes standardized source-GP outputs and produces
@@ -80,6 +90,10 @@ class KatGp {
   /// full target set (used by tests and diagnostics).
   double nll() const;
 
+  /// Current parameters as fit() packs them: encoder, decoder, then
+  /// log sigma_t^2.
+  std::vector<double> params() const;
+
   std::size_t n_metrics() const { return m_t_; }
   std::size_t n_target_data() const { return x_t_.rows(); }
 
@@ -95,36 +109,51 @@ class KatGp {
   };
 
   /// Per-minibatch source-GP state: posterior values plus d mu_s/dx and
-  /// d v_s/dx for every (point, metric) pair, computed by one parallel_for
-  /// per hyper-step over all metrics' rows through the K^-1 core of
-  /// predict_std_grad_batch.  The values are bit-identical to per-point
-  /// predict_std_grad calls; each pool chunk evaluates the source kernel on
-  /// its own rows and contracts K^-1 against a block of points per sweep.
+  /// (past the warm-up) d v_s/dx for every (point, metric) pair, from one
+  /// for_metric_rows dispatch per Adam step through predict_std_kinv_rows.
   struct SourceGrads {
     std::vector<std::vector<GpPrediction>> preds;  ///< [metric][point]
     std::vector<la::Matrix> dmean;                 ///< [metric]: b x d_s
     std::vector<la::Matrix> dvar;                  ///< [metric]: b x d_s
   };
 
+  /// One minibatch point's additions to the shared gradients, written by
+  /// point_grad on the pool and added by accumulate_point.  Reused across
+  /// Adam steps; the jac_* terms stay unused in the warm-up.
+  struct PointGrad {
+    std::vector<la::Vector> dec_delta;  ///< decoder backprop deltas
+    std::vector<la::Vector> enc_delta;  ///< encoder backprop deltas
+    la::Vector jac_w1;   ///< Jacobian-path dW1 terms, h x m_s
+    la::Vector jac_w2;   ///< Jacobian-path dW2 terms, m_t x h
+    la::Vector jac_b1;   ///< Jacobian-path db1 terms, h
+    double noise = 0.0;  ///< d NLL / d log sigma_t^2 term
+  };
+
   Forward forward(std::span<const double> x) const;
   /// NLL of one target point given a forward pass.  `chol` is a reused
   /// buffer for the factor of the point's m_t x m_t predictive covariance.
   double point_nll(const Forward& f, std::size_t row, la::Matrix& chol) const;
-  /// Accumulate gradients for one point into encoder/decoder grads and
-  /// d/d log sigma_t^2; returns the point loss.  With mean_only the loss is
-  /// the squared error of the predictive mean (warmup phase).  `sg`/`brow`
-  /// supply the batched source posterior gradients for this point; `chol`
-  /// is as in point_nll.
-  double point_backward(const Forward& f, std::size_t row, bool mean_only,
-                        const SourceGrads& sg, std::size_t brow,
-                        la::Matrix& chol);
+  /// The per-point half of a training step, const and run on the pool: the
+  /// decoder forward pass (plus its Jacobian past the warm-up) from the
+  /// point's source posterior (sg row `brow`), then the loss gradient back
+  /// through the decoder, the Delta-method covariance and the source
+  /// posterior into the encoder, written to `g` as backprop deltas and
+  /// Jacobian-path terms.  With mean_only the loss is the squared error of
+  /// the predictive mean (warmup phase).  `chol` is as in point_nll.
+  void point_grad(Forward& f, std::size_t row, bool mean_only,
+                  const SourceGrads& sg, std::size_t brow, PointGrad& g,
+                  la::Matrix& chol) const;
+  /// The serial half: add one point's terms into the encoder/decoder
+  /// gradients and noise_grad_, in the order a single fused backward pass
+  /// adds them.
+  void accumulate_point(const Forward& f, bool mean_only, const PointGrad& g);
 
   const MultiGp* source_;
   std::size_t d_t_;
   std::size_t m_t_;
   KatGpConfig config_;
-  mutable nn::Mlp encoder_;   // mutable: forward() caches are external, but
-  mutable nn::Mlp decoder_;   // jacobian() is const-logical
+  nn::Mlp encoder_;
+  nn::Mlp decoder_;
   double log_noise_;
   double noise_grad_ = 0.0;  ///< scratch accumulator for d NLL / d log sigma^2
   la::Matrix x_t_;

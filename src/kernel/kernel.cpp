@@ -30,10 +30,11 @@ void Kernel::posterior_input_grad(std::span<const double> x,
                                   std::span<double> dmean,
                                   std::span<double> dvar) const {
   const la::Matrix dk_dx = input_grad(x, x2);  // n2 x d
+  const bool with_var = !dvar.empty();
   for (std::size_t i = 0; i < dk_dx.rows(); ++i)
     for (std::size_t j = 0; j < dk_dx.cols(); ++j) {
       dmean[j] += dk_dx(i, j) * alpha[i];
-      dvar[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
+      if (with_var) dvar[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
     }
 }
 

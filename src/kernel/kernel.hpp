@@ -69,9 +69,11 @@ class Kernel {
   /// kx[i] = k(x, x2_i):
   ///   dmean[j] += sum_i dk(x, x2_i)/dx_j * alpha[i]
   ///   dvar[j]  += sum_i (-2 dk(x, x2_i)/dx_j) * kinv_k[i]
-  /// accumulated i-outer, j-inner.  Every implementation forms each term
-  /// exactly as the contraction of input_grad() would, so the result is
-  /// bit-identical to it (tests/kernel_test.cpp pins this).
+  /// accumulated i-outer, j-inner.  An empty dvar (and kinv_k) skips the
+  /// variance term and leaves dmean's additions unchanged.  Every
+  /// implementation forms each term exactly as the contraction of
+  /// input_grad() would, so the result is bit-identical to it
+  /// (tests/kernel_test.cpp pins this).
   virtual void posterior_input_grad(std::span<const double> x,
                                     const la::Matrix& x2,
                                     std::span<const double> kx,

@@ -228,6 +228,13 @@ void StationaryArd::posterior_input_grad(std::span<const double> x,
                                : s2 * dg_dr2(ard_r2(x, xi, w));
     // Same product order as input_grad(): ((s2 dg/dr2) 2 w_m) diff_m.
     const double c = s2_dgr2 * 2.0;
+    if (dvar.empty()) {  // mean-only
+      for (std::size_t m = 0; m < dim_; ++m) {
+        const double dk = c * w[m] * (x[m] - xi[m]);
+        dmean[m] += dk * alpha[i];
+      }
+      continue;
+    }
     for (std::size_t m = 0; m < dim_; ++m) {
       const double dk = c * w[m] * (x[m] - xi[m]);
       dmean[m] += dk * alpha[i];

@@ -74,32 +74,34 @@ Mlp::Mlp(std::vector<std::size_t> layer_sizes, Activation hidden_act,
 
 void Mlp::zero_grad() { grads_.assign(grads_.size(), 0.0); }
 
-la::Vector Mlp::apply_linear(const LayerView& l, const la::Vector& x) const {
-  la::Vector y(l.out);
+void Mlp::apply_linear(const LayerView& l, const la::Vector& x,
+                       la::Vector& y) const {
+  y.resize(l.out);
   for (std::size_t i = 0; i < l.out; ++i) {
     double s = params_[l.b_offset + i];
     const double* w = params_.data() + l.w_offset + i * l.in;
     for (std::size_t j = 0; j < l.in; ++j) s += w[j] * x[j];
     y[i] = s;
   }
-  return y;
 }
 
 la::Vector Mlp::forward(const la::Vector& x, Cache& cache) const {
   if (x.size() != in_dim()) throw std::invalid_argument("Mlp::forward: bad input dim");
-  cache.inputs.clear();
-  cache.pre_act.clear();
-  la::Vector h = x;
+  // Sized once and overwritten in place, so a cache reused across calls
+  // stops allocating.
+  cache.inputs.resize(layers_.size());
+  cache.pre_act.resize(layers_.size());
+  cache.inputs[0] = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    cache.inputs.push_back(h);
-    la::Vector z = apply_linear(layers_[l], h);
-    cache.pre_act.push_back(z);
+    la::Vector& z = cache.pre_act[l];
+    apply_linear(layers_[l], cache.inputs[l], z);
+    la::Vector& h = l + 1 < layers_.size() ? cache.inputs[l + 1] : cache.out;
+    h = z;
     const Activation act = layer_act(l);
     if (act != Activation::identity)
-      for (auto& v : z) v = activate(act, v);
-    h = std::move(z);
+      for (auto& v : h) v = activate(act, v);
   }
-  return h;
+  return cache.out;
 }
 
 la::Vector Mlp::forward(const la::Vector& x) const {
@@ -108,8 +110,17 @@ la::Vector Mlp::forward(const la::Vector& x) const {
 }
 
 la::Vector Mlp::backward(const Cache& cache, const la::Vector& dy) {
+  std::vector<la::Vector> deltas;
+  la::Vector dx = backprop(cache, dy, deltas);
+  accumulate_grads(cache, deltas);
+  return dx;
+}
+
+la::Vector Mlp::backprop(const Cache& cache, const la::Vector& dy,
+                         std::vector<la::Vector>& deltas) const {
   if (cache.inputs.size() != layers_.size())
-    throw std::invalid_argument("Mlp::backward: cache does not match network");
+    throw std::invalid_argument("Mlp::backprop: cache does not match network");
+  deltas.resize(layers_.size());
   la::Vector delta = dy;  // gradient w.r.t. current layer's (post-act) output
   for (std::size_t li = layers_.size(); li-- > 0;) {
     const auto& l = layers_[li];
@@ -119,25 +130,41 @@ la::Vector Mlp::backward(const Cache& cache, const la::Vector& dy) {
       for (std::size_t i = 0; i < l.out; ++i)
         delta[i] *= activate_deriv(act, z[i]);
     }
+    la::Vector dx(l.in, 0.0);
+    for (std::size_t i = 0; i < l.out; ++i) {
+      const double* w = params_.data() + l.w_offset + i * l.in;
+      for (std::size_t j = 0; j < l.in; ++j) dx[j] += delta[i] * w[j];
+    }
+    deltas[li] = std::move(delta);
+    delta = std::move(dx);
+  }
+  return delta;  // dL/dx
+}
+
+void Mlp::accumulate_grads(const Cache& cache,
+                           const std::vector<la::Vector>& deltas) {
+  if (cache.inputs.size() != layers_.size() || deltas.size() != layers_.size())
+    throw std::invalid_argument(
+        "Mlp::accumulate_grads: cache does not match network");
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const auto& l = layers_[li];
+    const auto& delta = deltas[li];
     const auto& input = cache.inputs[li];
     for (std::size_t i = 0; i < l.out; ++i) {
       grads_[l.b_offset + i] += delta[i];
       double* gw = grads_.data() + l.w_offset + i * l.in;
       for (std::size_t j = 0; j < l.in; ++j) gw[j] += delta[i] * input[j];
     }
-    la::Vector dx(l.in, 0.0);
-    for (std::size_t i = 0; i < l.out; ++i) {
-      const double* w = params_.data() + l.w_offset + i * l.in;
-      for (std::size_t j = 0; j < l.in; ++j) dx[j] += delta[i] * w[j];
-    }
-    delta = std::move(dx);
   }
-  return delta;  // dL/dx
 }
 
 la::Matrix Mlp::jacobian(const la::Vector& x) const {
   Cache cache;
   (void)forward(x, cache);
+  return jacobian(cache);
+}
+
+la::Matrix Mlp::jacobian(const Cache& cache) const {
   // J = W_last * diag(act') * W_{last-1} * ... built back-to-front.
   la::Matrix j;  // current product, dims: out_dim x (current layer input)
   for (std::size_t li = layers_.size(); li-- > 0;) {

@@ -30,10 +30,12 @@ double activate_second_deriv(Activation a, double x);
 /// gradient signal far outside its data).
 class Mlp {
  public:
-  /// Cached intermediates of one forward pass, consumed by backward().
+  /// Cached intermediates of one forward pass, consumed by backward() and
+  /// jacobian().  Reusing one across forward() calls reuses its buffers.
   struct Cache {
     std::vector<la::Vector> inputs;   ///< input to each linear layer
     std::vector<la::Vector> pre_act;  ///< pre-activation of each layer
+    la::Vector out;                   ///< network output
   };
 
   /// layer_sizes = {d_in, h1, ..., d_out}; weights get Xavier-uniform init.
@@ -55,11 +57,24 @@ class Mlp {
   la::Vector forward(const la::Vector& x) const;
 
   /// Backpropagate an upstream gradient dL/dy.  Accumulates parameter
-  /// gradients into grads() and returns dL/dx.
+  /// gradients into grads() and returns dL/dx.  Equivalent to backprop()
+  /// followed by accumulate_grads().
   la::Vector backward(const Cache& cache, const la::Vector& dy);
+
+  /// The const half of backward(): writes deltas[l], the loss gradient at
+  /// layer l's pre-activation (layer_out(l) entries), and returns dL/dx.
+  /// Writes no member state, so threads may run it concurrently.
+  la::Vector backprop(const Cache& cache, const la::Vector& dy,
+                      std::vector<la::Vector>& deltas) const;
+  /// The other half: add the bias and outer-product weight terms of one
+  /// backprop() into grads(), the exact additions backward() makes.
+  void accumulate_grads(const Cache& cache,
+                        const std::vector<la::Vector>& deltas);
 
   /// Analytic Jacobian dy/dx evaluated at x (out_dim x in_dim).
   la::Matrix jacobian(const la::Vector& x) const;
+  /// The same Jacobian at the input of the forward() that filled `cache`.
+  la::Matrix jacobian(const Cache& cache) const;
 
   // Direct views of a layer's weights/bias and their gradient blocks.
   // Needed by KAT-GP, whose Delta-method covariance gradient addresses the
@@ -93,7 +108,9 @@ class Mlp {
     std::size_t out;
   };
 
-  la::Vector apply_linear(const LayerView& l, const la::Vector& x) const;
+  /// y = W x + b for layer l (y is resized).
+  void apply_linear(const LayerView& l, const la::Vector& x,
+                    la::Vector& y) const;
 
   /// Activation applied after linear layer `li`.
   Activation layer_act(std::size_t li) const {

@@ -46,6 +46,7 @@ constexpr SimField k_sim_fields[] = {
     {"deadline_kills", &SimStats::deadline_kills},
     {"device_table_hits", &SimStats::device_table_hits},
     {"device_table_misses", &SimStats::device_table_misses},
+    {"device_table_evictions", &SimStats::device_table_evictions},
 };
 constexpr std::size_t k_n_sim = sizeof(k_sim_fields) / sizeof(k_sim_fields[0]);
 

@@ -94,6 +94,7 @@ struct SimStats {
   // Device-table cache (per-assembler lookups at construction).
   std::uint64_t device_table_hits = 0;
   std::uint64_t device_table_misses = 0;
+  std::uint64_t device_table_evictions = 0;  ///< LRU evictions on a miss
 
   /// Field-wise sum of `o` into *this.
   void merge(const SimStats& o);

@@ -1,10 +1,11 @@
 #include "sim/device_table.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
+#include <list>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -119,28 +120,48 @@ void DeviceTable::tail_at(double vov, double& veff, double& dveff) const {
 }
 
 namespace {
-std::mutex g_table_mutex;
-std::map<std::pair<double, double>, std::shared_ptr<const DeviceTable>>&
-table_cache() {
-  static std::map<std::pair<double, double>,
-                  std::shared_ptr<const DeviceTable>>
-      cache;
+/// Least-recently-used table cache, most recent first.  A deck touches a
+/// handful of keys, so a scan from the front finds a hit at once.
+struct TableCache {
+  using Key = std::pair<double, double>;
+  std::mutex mu;
+  std::list<std::pair<Key, std::shared_ptr<const DeviceTable>>> lru;
+};
+
+TableCache& table_cache() {
+  static TableCache cache;
   return cache;
 }
 }  // namespace
 
 std::shared_ptr<const DeviceTable> device_table_for(double subthreshold_n,
-                                                    double temp, bool* hit) {
-  std::lock_guard<std::mutex> lock(g_table_mutex);
-  auto& slot = table_cache()[{subthreshold_n, temp}];
-  if (hit != nullptr) *hit = slot != nullptr;
-  if (!slot) slot = std::make_shared<const DeviceTable>(subthreshold_n, temp);
-  return slot;
+                                                    double temp, bool* hit,
+                                                    bool* evicted) {
+  TableCache& c = table_cache();
+  const TableCache::Key key{subthreshold_n, temp};
+  std::lock_guard<std::mutex> lock(c.mu);
+  if (evicted != nullptr) *evicted = false;
+  const auto it = std::find_if(c.lru.begin(), c.lru.end(),
+                               [&](const auto& e) { return e.first == key; });
+  if (hit != nullptr) *hit = it != c.lru.end();
+  if (it != c.lru.end()) {
+    c.lru.splice(c.lru.begin(), c.lru, it);
+    return it->second;
+  }
+  c.lru.emplace_front(
+      key, std::make_shared<const DeviceTable>(subthreshold_n, temp));
+  if (c.lru.size() > k_device_table_cache_cap) {
+    // Callers still holding the evicted table keep it alive.
+    c.lru.pop_back();
+    if (evicted != nullptr) *evicted = true;
+  }
+  return c.lru.front().second;
 }
 
 std::size_t device_table_cache_size() {
-  std::lock_guard<std::mutex> lock(g_table_mutex);
-  return table_cache().size();
+  TableCache& c = table_cache();
+  std::lock_guard<std::mutex> lock(c.mu);
+  return c.lru.size();
 }
 
 }  // namespace kato::sim

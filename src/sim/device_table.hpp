@@ -31,8 +31,9 @@
 //     the same temperature.
 //
 // Tables are keyed by (subthreshold_n, temp) only — the two quantities that
-// set the smoothing scale 2 n vt — and cached process-wide behind a mutex,
-// so all assemblers, threads and fan-outs share one build per key.
+// set the smoothing scale 2 n vt — and cached process-wide behind a mutex
+// (least recently used first out past k_device_table_cache_cap keys), so
+// all assemblers, threads and fan-outs share one build per key.
 //
 // Accuracy: with step h = nvt/8 the cubic-Hermite relative error on veff is
 // ~(h / 2 n vt)^4 / 384 ~ 1e-8; the worst-case amplification through the
@@ -130,17 +131,26 @@ class DeviceTable {
   std::vector<double> k_;
 };
 
-/// Process-wide table cache: one build per (subthreshold_n, temp) key,
-/// shared by every assembler/thread/corner/candidate.  A deck touches only
-/// a handful of keys (its corner temperatures x its model-card slope
-/// factors), each ~1.8k cells * 64 B, so the cache stays small for the
-/// life of the process.  `hit` (optional) reports whether the key was
-/// already cached — the assembler feeds this into its SimStats counters.
+/// Capacity of the process-wide table cache.  A deck touches only a handful
+/// of keys (its corner temperatures x its model-card slope factors), each
+/// ~1.8k cells * 64 B; a `.temp` that depends on a sizing variable makes a
+/// new key per evaluation, so the cache evicts the least recently used
+/// table past this many (~7 MB at 300 K).
+inline constexpr std::size_t k_device_table_cache_cap = 64;
+
+/// Process-wide LRU table cache: one build per (subthreshold_n, temp) key,
+/// shared by every assembler/thread/corner/candidate.  An evicted table
+/// stays valid for every caller still holding it.  `hit` (optional)
+/// reports whether the key was already cached and `evicted` (optional)
+/// whether this lookup evicted another key — the assembler feeds both into
+/// its SimStats counters.
 std::shared_ptr<const DeviceTable> device_table_for(double subthreshold_n,
                                                     double temp,
-                                                    bool* hit = nullptr);
+                                                    bool* hit = nullptr,
+                                                    bool* evicted = nullptr);
 
-/// Number of distinct keys currently cached (tests/diagnostics).
+/// Number of distinct keys currently cached (tests/diagnostics), at most
+/// k_device_table_cache_cap.
 std::size_t device_table_cache_size();
 
 /// Table-path device evaluation: normalized NMOS/PMOS + reverse-vds

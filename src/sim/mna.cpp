@@ -151,10 +151,12 @@ MnaAssembler::MnaAssembler(const Circuit& ckt, const MnaOptions& opts)
       // Shared process-wide cache: repeated keys are pointer lookups, so
       // per-device fetching keeps mixed-model decks correct for free.
       bool hit = false;
+      bool evicted = false;
       table_refs_.push_back(
-          device_table_for(mos.model.subthreshold_n, temp_, &hit));
+          device_table_for(mos.model.subthreshold_n, temp_, &hit, &evicted));
       mos_tab_.push_back(table_refs_.back().get());
       ++(hit ? stats_.device_table_hits : stats_.device_table_misses);
+      if (evicted) ++stats_.device_table_evictions;
     } else {
       mos_tab_.push_back(nullptr);
     }

@@ -292,6 +292,45 @@ TEST(DeviceTableCache, SharedPerKey) {
   EXPECT_LT(a->step(), a->nvt2());
 }
 
+TEST(DeviceTableCache, EvictsLeastRecentlyUsedPastTheCap) {
+  // A `.temp` that follows a sizing variable makes a new key per
+  // evaluation; the cache must stay bounded, keep recently used keys, and
+  // never invalidate a table a caller still holds.
+  const auto held = sim::device_table_for(1.45, 251.5);
+  double held_veff = 0.0;
+  double held_dveff = 0.0;
+  held->veff_at(0.1, held_veff, held_dveff);
+  std::size_t evictions = 0;
+  for (int i = 0; i < 2000; ++i) {
+    bool hit = true;
+    bool evicted = false;
+    (void)sim::device_table_for(1.45, 401.003 + 0.01 * i, &hit, &evicted);
+    EXPECT_FALSE(hit) << i;
+    evictions += evicted ? 1 : 0;
+    ASSERT_LE(sim::device_table_cache_size(), sim::k_device_table_cache_cap);
+    // Touched every round, so never the least recently used key.
+    (void)sim::device_table_for(1.45, 252.5, &hit);
+    EXPECT_TRUE(hit || i == 0) << i;
+  }
+  EXPECT_EQ(sim::device_table_cache_size(), sim::k_device_table_cache_cap);
+  EXPECT_GE(evictions, 2000 - sim::k_device_table_cache_cap);
+
+  bool hit = true;
+  bool evicted = false;
+  const auto rebuilt = sim::device_table_for(1.45, 251.5, &hit, &evicted);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(evicted);
+  EXPECT_NE(rebuilt.get(), held.get());
+  double veff = 0.0;
+  double dveff = 0.0;
+  held->veff_at(0.1, veff, dveff);
+  EXPECT_EQ(veff, held_veff);
+  EXPECT_EQ(dveff, held_dveff);
+  rebuilt->veff_at(0.1, veff, dveff);
+  EXPECT_EQ(veff, held_veff);
+  EXPECT_EQ(dveff, held_dveff);
+}
+
 TEST(DeviceTableCache, CellCountIsCappedAtTheTemperatureFloor) {
   // Colder keys shrink n kT/q and grow the grid.  Below the floor the
   // constructor throws instead of exhausting memory (1e-4 K) or overflowing

@@ -385,6 +385,157 @@ TEST(KatGp, RejectsMismatchedData) {
 }
 
 // ---------------------------------------------------------------------------
+// KAT-GP training pins: a first fit (12 mean-only warm-up steps of 30) and
+// one warm refit of 8 steps must reproduce these NLLs, parameters and
+// predictions bit for bit.  The values come from the fully serial
+// per-point backward pass; the per-point gradient work now runs on the
+// pool while the additions into the shared gradients stay serial in point
+// order, so any reordering of those additions (or a change to the
+// mean-only source stage) shows up here.  The 30-step fit ends on an
+// exact-NLL evaluation (every 5 steps past the warm-up); the 8-step refit
+// ends between two, and its final parameters are its best, so the closing
+// sweep that only that case needs is pinned too.
+
+namespace {
+
+struct KatPin {
+  double nll;
+  std::vector<double> params;   ///< encoder, decoder, log sigma_t^2
+  std::vector<double> predict;  ///< predict_batch (mean, var) per query/metric
+};
+
+std::vector<KatPin> pinned_kat_run() {
+  kato::util::Rng rng(81);
+  const std::size_t d_s = 3;
+  const std::size_t m_s = 2;
+  const std::size_t n_src = 48;
+  gp::MultiGp source(m_s, [] { return rbf(3); });
+  la::Matrix xs(n_src, d_s);
+  for (auto& v : xs.data()) v = rng.uniform();
+  la::Matrix ys(n_src, m_s);
+  for (std::size_t i = 0; i < n_src; ++i) {
+    ys(i, 0) = std::sin(3.0 * xs(i, 0)) + xs(i, 1) * xs(i, 2);
+    ys(i, 1) = std::cos(2.0 * xs(i, 1)) - 0.5 * xs(i, 0);
+  }
+  source.set_data(xs, ys);
+  gp::GpFitOptions fit;
+  fit.iterations = 20;
+  source.fit(fit, rng);
+
+  gp::KatGpConfig cfg;
+  cfg.hidden = 4;
+  cfg.init_iterations = 30;
+  cfg.refit_iterations = 8;
+  cfg.eval_every = 5;
+  cfg.batch_size = 16;
+  gp::KatGp kat(&source, 2, 2, cfg, rng);
+  auto target = [&](std::size_t n) {
+    la::Matrix xt(n, 2);
+    for (auto& v : xt.data()) v = rng.uniform();
+    la::Matrix yt(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      yt(i, 0) = 1.3 * std::sin(3.0 * xt(i, 0)) + xt(i, 1) * 0.4;
+      yt(i, 1) = std::cos(2.0 * xt(i, 1)) - 0.6 * xt(i, 0) + 0.2;
+    }
+    kat.set_target_data(xt, yt);
+  };
+  la::Matrix q(3, 2);
+  for (auto& v : q.data()) v = rng.uniform();
+  std::vector<KatPin> out;
+  for (const std::size_t n : {24, 30}) {
+    target(n);
+    kat.fit(rng);
+    KatPin pin{kat.nll(), kat.params(), {}};
+    for (const auto& row : kat.predict_batch(q))
+      for (const auto& p : row) {
+        pin.predict.push_back(p.mean);
+        pin.predict.push_back(p.var);
+      }
+    out.push_back(std::move(pin));
+  }
+  return out;
+}
+
+void expect_kat_pin(const KatPin& got, const KatPin& want) {
+  EXPECT_EQ(got.nll, want.nll);
+  ASSERT_EQ(got.params.size(), want.params.size());
+  for (std::size_t i = 0; i < got.params.size(); ++i)
+    EXPECT_EQ(got.params[i], want.params[i]) << "param " << i;
+  ASSERT_EQ(got.predict.size(), want.predict.size());
+  for (std::size_t i = 0; i < got.predict.size(); ++i)
+    EXPECT_EQ(got.predict[i], want.predict[i]) << "prediction " << i;
+}
+
+}  // namespace
+
+TEST(KatGp, FitAndRefitPinnedBitForBit) {
+  const KatPin first_fit{
+      -0x1.c3c21a88f138fp+0,
+      {
+          0x1.082740127e31dp-1, 0x1.88ac032f6161dp-7, 0x1.c70368713c8fcp-6,
+          0x1.f069dd3d05acdp-2, -0x1.e46319fe8e92fp-4, -0x1.df581b5bf0a91p-7,
+          -0x1.e82fe06697beap-6, -0x1.a7a7a037716adp-4, -0x1.1a9144246381dp-2,
+          -0x1.0bf0777a7ed62p-2, -0x1.3ea670fd450b3p-4, -0x1.bb350058fcc9dp-4,
+          0x1.fea42cdba9438p+2, 0x1.f42342d61d1a7p-5, 0x1.e0e5950942f2ep-5,
+          0x1.22114b241c396p-6, -0x1.1ab1988d2b2bep-5, 0x1.ff26e8c2cd945p+2,
+          -0x1.4d7ebe0a73bep-5, -0x1.63a793d223804p-4, -0x1.8cd0e515a3cecp-4,
+          0x1.bd95f363433aep-5, -0x1.3752e4d63b44ep-4, 0x1.5e06eb0237303p-7,
+          -0x1.c339721333035p+1, -0x1.c1682528c68c9p+1, 0x1.dcd1533fba626p-2,
+          0x1.2d82a1573700ap-1, 0x1.60945b793c6b2p-5, 0x1.659a4e88998fcp-7,
+          0x1.f2063759e94d3p-2, -0x1.7f11ef0bf1b2bp-5, -0x1.916d6611c827cp-4,
+          0x1.03b47ba578788p-6, 0x1.207dce1b6c541p-4, 0x1.692ca424a9097p-6,
+          0x1.ebf4f5b45d5b4p-5, 0x1.171c25e1b033cp-5, -0x1.e8e460bae89a3p-4,
+          0x1.01442569ebc96p+3, 0x1.5aec3f98b7ab8p-4, -0x1.2e518b20ade68p-5,
+          0x1.ecfab07b010fep-8, 0x1.eb1383c5ad2fp-6, 0x1.026396ac9048cp+3,
+          0x1.2458539ddd706p-3, 0x1.573eab30436b6p-7, -0x1.fc99e0931e3a7p+1,
+          -0x1.f733927ed051cp+1, -0x1.1ecbef5e805cdp+2,
+      },
+      {
+          0x1.56ca9c39109d7p+0, 0x1.d23b4e65523a6p-10, 0x1.f0df1bf81189p-2,
+          0x1.73f63e80edefdp-9, 0x1.8dcce1a5e985p+0, 0x1.c439be08b4316p-10,
+          0x1.94e1f892e4c32p-2, 0x1.70ec51dfd5422p-9, 0x1.b9f3541be973ep-1,
+          0x1.f1f947b9f239p-10, 0x1.fc573687ab35ap-2, 0x1.8054dd34635b1p-9,
+      }};
+  const KatPin refit{
+      -0x1.1c0100bc9533cp+0,
+      {
+          0x1.071e5726f78d2p-1, 0x1.daa66e3591134p-12, 0x1.928ed36a34a6cp-6,
+          0x1.f7a5088ad052dp-2, -0x1.0219892c7087cp-3, -0x1.08b20bc2c9864p-5,
+          -0x1.2fc1aaf0ec71bp-5, -0x1.eac983e6da09fp-4, -0x1.1eaec33c40193p-2,
+          -0x1.0908a35fac9bap-2, -0x1.6bd6d1f8565cp-4, -0x1.ea91ffeb42f59p-4,
+          0x1.fe634a9cec0bdp+2, 0x1.cc6415a3bbc53p-5, 0x1.bdd08a48b8a8cp-5,
+          0x1.c3299b3a8acf3p-7, -0x1.0892b12e54e41p-5, 0x1.ff5b72c0875c4p+2,
+          -0x1.32796f0a64933p-5, -0x1.56eff488b76fcp-4, -0x1.7e6204db21341p-4,
+          0x1.d7b3ea509f683p-5, -0x1.28592b5624222p-4, 0x1.d5b200db80622p-7,
+          -0x1.c3bbd04833a2bp+1, -0x1.c109f9afedf4p+1, 0x1.e034e029d31ep-2,
+          0x1.2af09c097a9bfp-1, 0x1.6f0cdfa444044p-5, 0x1.150d3162984f9p-7,
+          0x1.f4bdea1f081bp-2, -0x1.1e46ffb5014f7p-4, -0x1.7ef5b9c89345ep-4,
+          0x1.8c179e205a5f5p-10, 0x1.1b0d7061f26fdp-3, 0x1.b31346d7680bap-6,
+          0x1.f78c4d2e7cb82p-5, 0x1.08610d2789667p-5, -0x1.7857b7812509dp-3,
+          0x1.015e3608d7ec9p+3, 0x1.72b7ce253ebbfp-4, -0x1.08b4d222e3a43p-5,
+          0x1.8b46c3eff549ap-7, 0x1.0648d38092a93p-5, 0x1.0277bacf9b0b4p+3,
+          0x1.2824a24e84908p-3, 0x1.9a813a6c68557p-7, -0x1.fc0afaca8aa86p+1,
+          -0x1.f6ec8e5055603p+1, -0x1.1a2933bbdc95dp+2,
+      },
+      {
+          0x1.601b683ca6459p+0, 0x1.cbfd0810284dp-10, 0x1.03aeea74b4f12p-1,
+          0x1.8013f9e715ce3p-9, 0x1.8400d2bc26cdcp+0, 0x1.c35d4a8491f7ap-10,
+          0x1.9eb622aa253fcp-2, 0x1.7e4c3dc6709f7p-9, 0x1.81911e2d5b342p-1,
+          0x1.eed51ed3854ebp-10, 0x1.fd8e54b6ffb4cp-2, 0x1.9203f90292781p-9,
+      }};
+  const auto run = pinned_kat_run();
+  ASSERT_EQ(run.size(), 2u);
+  {
+    SCOPED_TRACE("first fit");
+    expect_kat_pin(run[0], first_fit);
+  }
+  {
+    SCOPED_TRACE("refit");
+    expect_kat_pin(run[1], refit);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Seeded training pins: a full fit at the hyper-training cap (n = 192,
 // 80 Adam steps) must reproduce these best NLLs and hyperparameters bit for
 // bit.  Every step runs the whole dense algebra (Cholesky, triangular

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bo/drivers.hpp"
+#include "circuits/factory.hpp"
 #include "gp/kat_gp.hpp"
 #include "kernel/stationary.hpp"
 #include "netlist/netlist_circuit.hpp"
@@ -454,6 +455,9 @@ TEST(ObsHist, KatFitStageRecordsOneSamplePerAlignment) {
 TEST(ObsTrace, KatFitStepSpansNestUnderKatFit) {
   // Every Adam step of KatGp::fit records kat_encode, kat_source and
   // kat_backward spans, each inside the kat_fit span on the same thread.
+  // The exact-NLL sweeps are kat_nll spans: with 5 steps and no in-loop
+  // evaluation (eval_every = 10) there are two, before the first step and
+  // after the last.
   kato::util::Rng rng(18);
   la::Matrix xs(24, 2);
   la::Matrix ys(24, 1);
@@ -512,6 +516,39 @@ TEST(ObsTrace, KatFitStepSpansNestUnderKatFit) {
     }
     EXPECT_EQ(count, cfg.init_iterations);
   }
+  int nll_sweeps = 0;
+  for (const auto& e : events) {
+    if (e.name != "kat_nll") continue;
+    ++nll_sweeps;
+    EXPECT_EQ(e.tid, fit->tid);
+    EXPECT_GE(e.ts, fit->ts);
+    EXPECT_LE(e.ts + e.dur, fit->ts + fit->dur + 1e-3);
+  }
+  EXPECT_EQ(nll_sweeps, 2);
+}
+
+TEST(ObsTrace, BuildTransferSourceRecordsOneSpan) {
+  // Source-knowledge construction (simulations plus the frozen source GP
+  // fits) is one build_transfer_source span enclosing its gp_fit spans.
+  auto circuit = kato::ckt::make_circuit("opamp2", "180nm");
+  const std::string path = trace_path("obs_transfer_source_span.json");
+  obs::trace_begin(path);
+  const auto src = kato::bo::build_transfer_source(*circuit, 12,
+                                                   kato::bo::KernelKind::rbf, 7);
+  obs::trace_end();
+  EXPECT_EQ(src.x.rows(), 12u);
+
+  std::ifstream in(path);
+  std::string line;
+  int builds = 0;
+  int fits = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    if (line.rfind("{\"name\":\"build_transfer_source\"", 0) == 0) ++builds;
+    if (line.rfind("{\"name\":\"gp_fit\"", 0) == 0) ++fits;
+  }
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(fits, static_cast<int>(circuit->n_metrics()) + 1);
 }
 
 TEST(ObsTrace, GpFitRecordsPosteriorRefreshSpan) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -158,6 +159,41 @@ TEST(PredictBatch, MultiGpMatchesPerMetric) {
   }
 }
 
+TEST(PredictBatch, MultiGpOneDispatchBitIdenticalToPerMetricBatches) {
+  // MultiGp::predict_batch runs every metric's rows in one dispatch; each
+  // value must equal that metric's own predict_batch at any thread count,
+  // including splits where a chunk straddles two metrics.
+  kato::util::Rng rng(48);
+  gp::MultiGp multi(3, [&] {
+    return std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, 3);
+  });
+  const std::size_t n = 50;
+  la::Matrix x = random_points(n, 3, rng);
+  la::Matrix y(n, 3);
+  for (std::size_t i = 0; i < n; ++i) {
+    y(i, 0) = std::cos(2.0 * x(i, 0));
+    y(i, 1) = 4.0 * x(i, 1) * x(i, 2) + 1.0;
+    y(i, 2) = std::sin(3.0 * x(i, 2)) - x(i, 0);
+  }
+  multi.set_data(x, y);
+  const auto q = random_points(13, 3, rng);
+  std::vector<std::vector<gp::GpPrediction>> ref;
+  for (std::size_t m = 0; m < 3; ++m) ref.push_back(multi.metric(m).predict_batch(q));
+  for (const char* threads : {"1", "2", "3", "4"}) {
+    SCOPED_TRACE(threads);
+    ThreadsEnv env(threads);
+    const auto batch = multi.predict_batch(q);
+    ASSERT_EQ(batch.size(), q.rows());
+    for (std::size_t i = 0; i < q.rows(); ++i) {
+      ASSERT_EQ(batch[i].size(), 3u);
+      for (std::size_t m = 0; m < 3; ++m) {
+        EXPECT_EQ(batch[i][m].mean, ref[m][i].mean) << i << "," << m;
+        EXPECT_EQ(batch[i][m].var, ref[m][i].var) << i << "," << m;
+      }
+    }
+  }
+}
+
 TEST(PredictBatch, KatGpAgreesWithPerPointLoop) {
   kato::util::Rng rng(53);
   // Fitted single-metric RBF source model on a 2-d toy function.
@@ -199,10 +235,11 @@ TEST(PredictBatch, KatGpAgreesWithPerPointLoop) {
 }
 
 TEST(PredictBatch, KatGpFitAndRefitBitIdenticalAcrossThreadCounts) {
-  // KAT-GP's source stage, exact-NLL sweeps and predict_batch each run one
-  // parallel_for over (source metric x query rows); chunks straddle metric
-  // boundaries at 4 threads.  An initial fit plus one warm refit must give
-  // the same predict_batch bits at 1 and 4 threads.
+  // KAT-GP's source stage, per-point gradient stage, exact-NLL sweeps and
+  // predict_batch each run one parallel_for (the source stages over
+  // (source metric x query rows), with chunks straddling metric
+  // boundaries).  An initial fit plus one warm refit must give the same
+  // predict_batch bits at 1, 2, 3 and 4 threads.
   auto run = [](const char* threads) {
     ThreadsEnv env(threads);
     kato::util::Rng rng(54);
@@ -252,11 +289,16 @@ TEST(PredictBatch, KatGpFitAndRefitBitIdenticalAcrossThreadCounts) {
     return out;
   };
   const auto serial = run("1");
-  const auto threaded = run("4");
   ASSERT_EQ(serial.size(), 37u * 2u * 2u);
-  ASSERT_EQ(threaded.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], threaded[i]) << i;
+  // 2 and 3 threads split the 25-point minibatch and the 30/41-point NLL
+  // sweeps into uneven chunks.
+  for (const char* threads : {"2", "3", "4"}) {
+    SCOPED_TRACE(threads);
+    const auto threaded = run(threads);
+    ASSERT_EQ(threaded.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      EXPECT_EQ(serial[i], threaded[i]) << i;
+  }
 }
 
 TEST(ThreadedMace, ProposalsBitIdenticalToSingleThread) {
@@ -717,11 +759,13 @@ TEST(WarmStartRefit, RefitTraceSeedReproducible) {
 // ---------------------------------------------------------------------------
 // Batched source-GP gradients (the KAT-GP training hot path).
 
-TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
-  // A Neuk GP and stationary source GPs of the transfer workload's shape
-  // (n = 200): RBF takes its gradient from the cross row, RQ and Matern 5/2
-  // recompute r2.  Query counts cover a single query, partial and whole
-  // contraction blocks, and thread chunks that are not block multiples.
+namespace {
+
+/// A Neuk GP and stationary source GPs of the transfer workload's shape
+/// (n = 200): Neuk contracts input_grad() in the default
+/// posterior_input_grad, RBF takes its gradient from the cross row, RQ and
+/// Matern 5/2 recompute r2.
+std::vector<std::pair<const char*, gp::GaussianProcess>> source_models() {
   std::vector<std::pair<const char*, gp::GaussianProcess>> models;
   models.emplace_back("neuk", fitted_neuk_gp(50, 4, 90));
   for (const auto& [name, type] :
@@ -740,8 +784,15 @@ TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
     model.fit(opts, rng);
     models.emplace_back(name, std::move(model));
   }
+  return models;
+}
 
-  for (const auto& [name, model] : models) {
+}  // namespace
+
+TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
+  // Query counts cover a single query, partial and whole contraction
+  // blocks, and thread chunks that are not block multiples.
+  for (const auto& [name, model] : source_models()) {
     for (const std::size_t m : {1, 7, 8, 9, 21, 130}) {
       kato::util::Rng rng(91 + m);
       const auto q = random_points(m, model.input_dim(), rng);
@@ -789,6 +840,35 @@ TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(PredictStdGradBatch, MeanOnlyRowsMatchFullCoreBytes) {
+  // KAT-GP's warm-up runs the K^-1 row core without d var/dx: it must
+  // return exactly the bytes of the full core's mean and d mean/dx, and
+  // mark the skipped variance as NaN.
+  for (const auto& [name, model] : source_models()) {
+    for (const std::size_t m : {1, 9, 21}) {
+      SCOPED_TRACE(std::string(name) + " m=" + std::to_string(m));
+      kato::util::Rng rng(191 + m);
+      const auto q = random_points(m, model.input_dim(), rng);
+      std::vector<gp::GpPrediction> full(m);
+      la::Matrix dmean(m, q.cols());
+      la::Matrix dvar(m, q.cols());
+      model.predict_std_kinv_rows(q, 0, m, full, &dmean, &dvar);
+      std::vector<gp::GpPrediction> mean_only(m);
+      la::Matrix dmean_only(m, q.cols());
+      // Two calls over split row ranges, as pool chunks make them.
+      model.predict_std_kinv_rows(q, 0, m / 2, mean_only, &dmean_only, nullptr);
+      model.predict_std_kinv_rows(q, m / 2, m, mean_only, &dmean_only, nullptr);
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(std::memcmp(&mean_only[i].mean, &full[i].mean,
+                              sizeof(double)), 0) << i;
+        EXPECT_TRUE(std::isnan(mean_only[i].var)) << i;
+      }
+      EXPECT_EQ(std::memcmp(dmean_only.data().data(), dmean.data().data(),
+                            m * q.cols() * sizeof(double)), 0);
     }
   }
 }
