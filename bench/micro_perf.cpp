@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
 
   std::cout << "== micro_perf (KATO_THREADS=" << util::thread_count()
-            << ") ==\n";
+            << ", la_isa=" << la::isa_name(la::active_isa()) << ") ==\n";
 
   // Kernel construction / backward.
   {
@@ -221,6 +221,25 @@ int main(int argc, char** argv) {
       la::cholesky_inverse_into(l, kinv, t);
       sink(kinv(0, 0));
     });
+    // The GP posterior's K^-1 k contraction (KAT-GP's source stage): one
+    // 8-query block against K^-1 at n = 200.
+    {
+      const std::size_t nk = 200;
+      const auto gk = random_points(nk, nk, 43);
+      la::Matrix kk = la::matmul_nt(gk, gk);
+      for (std::size_t i = 0; i < nk; ++i) kk(i, i) += static_cast<double>(nk);
+      la::Matrix lk;
+      la::Matrix kinv_k;
+      la::Matrix tk;
+      la::cholesky_into(kk, lk);
+      la::cholesky_inverse_into(lk, kinv_k, tk);
+      const auto block = random_points(nk, la::k_contract_block, 44);
+      la::Matrix out;
+      bench("kinv_contract_n200_q8", [&] {
+        la::contract_block(kinv_k, block.data(), la::k_contract_block, out);
+        sink(out(7, nk - 1));
+      });
+    }
     // The batched posterior's forward solve: L V = K_x^T for six queries.
     const auto kx = random_points(256, 6, 42);
     const la::Matrix l256 = *la::cholesky(spd);
@@ -1171,6 +1190,9 @@ int main(int argc, char** argv) {
     out << "  \"dc_opamp2_eval_analytic_ms\": " << dc_opamp2_analytic_ms
         << ",\n";
     out << "  \"kato_threads\": " << util::thread_count() << ",\n";
+    // The dense kernels' build (linalg/isa.hpp), so ledgers from different
+    // machines can be told apart.
+    out << "  \"la_isa\": \"" << la::isa_name(la::active_isa()) << "\",\n";
     // Lets the baseline comparator skip thread-scaling speedup fields on
     // 1-core runners, where they measure the machine, not the code.
     out << "  \"hardware_concurrency\": "

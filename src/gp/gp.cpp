@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/v2.hpp"
 #include "nn/mlp.hpp"
 #include "obs/obs.hpp"
 #include "util/fault.hpp"
@@ -16,9 +15,6 @@ namespace kato::gp {
 
 namespace {
 constexpr double k_two_pi = 6.283185307179586;
-
-using la::load2;
-using la::V2;
 
 /// Rows [r0, r1) of x as their own matrix (the query block of one chunk).
 la::Matrix row_range(const la::Matrix& x, std::size_t r0, std::size_t r1) {
@@ -313,12 +309,12 @@ void GaussianProcess::predict_std_kinv_rows(const la::Matrix& xq,
   const bool mean_only = dmean_dx != nullptr && dvar_dx == nullptr;
 
   // tile: n x kinv_block, the block's rows of kx transposed (unused lanes
-  // zero) so one sweep over a row of K^-1 feeds every query at once.
-  // kinv_k: row j is K^-1 k of the block's query j.  The mean-only mode
-  // never contracts K^-1.
+  // zero) so one sweep over K^-1 feeds every query at once.  kinv_k: row j
+  // is K^-1 k of the block's query j, summed in la::dot's order, so it is
+  // bit-identical to the per-point la::matvec (K^-1 is exactly symmetric).
+  // The mean-only mode never contracts K^-1.
   std::vector<double> tile(mean_only ? 0 : n * kinv_block);
-  la::Matrix kinv_k(mean_only ? 0 : kinv_block, n);
-  static_assert(kinv_block == 8, "four two-lane accumulators");
+  la::Matrix kinv_k;
   for (std::size_t b0 = 0; b0 < q1 - q0; b0 += kinv_block) {
     const std::size_t w = std::min(kinv_block, q1 - q0 - b0);
     if (!mean_only) {
@@ -327,29 +323,7 @@ void GaussianProcess::predict_std_kinv_rows(const la::Matrix& xq,
         for (std::size_t j = 0; j < kinv_block; ++j)
           t[j] = j < w ? kx(b0 + j, k) : 0.0;
       }
-
-      // Lane j of (a0, a1, a2, a3) accumulates sum_k K^-1(i,k) kx(b0+j,k)
-      // from 0.0 in increasing k with a separate multiply and add:
-      // la::dot's exact summation order, so every query's K^-1 k is
-      // bit-identical to the per-point la::matvec (K^-1 is exactly
-      // symmetric).
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* ki = p.kinv.row(i).data();
-        const double* t = tile.data();
-        V2 a0 = {0.0, 0.0};
-        V2 a1 = a0;
-        V2 a2 = a0;
-        V2 a3 = a0;
-        for (std::size_t k = 0; k < n; ++k, t += kinv_block) {
-          const V2 s = {ki[k], ki[k]};
-          a0 += s * load2(t);
-          a1 += s * load2(t + 2);
-          a2 += s * load2(t + 4);
-          a3 += s * load2(t + 6);
-        }
-        const V2 acc[4] = {a0, a1, a2, a3};
-        for (std::size_t j = 0; j < w; ++j) kinv_k(j, i) = acc[j / 2][j % 2];
-      }
+      la::contract_block(p.kinv, tile, w, kinv_k);
     }
 
     for (std::size_t j = 0; j < w; ++j) {

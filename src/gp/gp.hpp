@@ -153,8 +153,8 @@ class GaussianProcess {
     la::Vector tmp;
   };
 
-  /// Queries per blocked K^-1 contraction (four two-lane accumulators).
-  static constexpr std::size_t kinv_block = 8;
+  /// Queries per blocked K^-1 contraction (la::contract_block).
+  static constexpr std::size_t kinv_block = la::k_contract_block;
 
   /// NLL and gradient (kernel params then log-noise) on the subset bound to
   /// s.ws, reusing s's buffers across iterations.

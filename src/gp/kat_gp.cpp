@@ -13,17 +13,6 @@ namespace kato::gp {
 namespace {
 constexpr double k_log_two_pi = 1.8378770664093453;
 
-struct SmallSpd {
-  la::Matrix inv;
-  double logdet;
-};
-
-/// Inverse and log-determinant of a small SPD matrix (m_t is 1-4 here) from
-/// one jittered Cholesky factor, written into the caller's reused `l`.
-SmallSpd small_spd_factor(const la::Matrix& a, la::Matrix& l) {
-  la::cholesky_jittered_into(a, l);
-  return {la::cholesky_inverse(l), la::cholesky_logdet(l)};
-}
 }  // namespace
 
 KatGp::KatGp(const MultiGp* source, std::size_t target_dim,
@@ -128,28 +117,33 @@ KatGp::Forward KatGp::forward(std::span<const double> x) const {
   return f;
 }
 
-double KatGp::point_nll(const Forward& f, std::size_t row,
-                        la::Matrix& chol) const {
+void KatGp::factor_sigma(const Forward& f, SigmaScratch& s) const {
   const double noise = std::exp(log_noise_);
-  la::Matrix sigma(m_t_, m_t_);
+  if (s.sigma.rows() != m_t_) s.sigma = la::Matrix(m_t_, m_t_);
   for (std::size_t a = 0; a < m_t_; ++a)
     for (std::size_t b = 0; b < m_t_; ++b) {
-      double s = 0.0;
+      double v = 0.0;
       for (std::size_t k = 0; k < f.v_s.size(); ++k)
-        s += f.jac(a, k) * f.v_s[k] * f.jac(b, k);
-      sigma(a, b) = s + (a == b ? noise : 0.0);
+        v += f.jac(a, k) * f.v_s[k] * f.jac(b, k);
+      s.sigma(a, b) = v + (a == b ? noise : 0.0);
     }
+  la::cholesky_jittered_into(s.sigma, s.l);
+  la::cholesky_inverse_small_into(s.l, s.inv, s.tmp);
+}
+
+double KatGp::point_nll(const Forward& f, std::size_t row,
+                        SigmaScratch& s) const {
   la::Vector r(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) r[m] = y_t_std_(row, m) - f.mean_t[m];
-  const auto [sigma_inv, logdet] = small_spd_factor(sigma, chol);
-  const la::Vector w = la::matvec(sigma_inv, r);
-  return 0.5 * la::dot(r, w) + 0.5 * logdet +
+  factor_sigma(f, s);
+  const la::Vector w = la::matvec(s.inv, r);
+  return 0.5 * la::dot(r, w) + 0.5 * la::cholesky_logdet(s.l) +
          0.5 * static_cast<double>(m_t_) * k_log_two_pi;
 }
 
 void KatGp::point_grad(Forward& f, std::size_t row, bool mean_only,
                        const SourceGrads& sg, std::size_t brow, PointGrad& g,
-                       la::Matrix& chol) const {
+                       SigmaScratch& ss) const {
   const std::size_t m_s = sg.preds.size();
   const std::size_t d_s = f.enc_out.size();
   f.mu_s.resize(m_s);
@@ -175,18 +169,11 @@ void KatGp::point_grad(Forward& f, std::size_t row, bool mean_only,
   for (std::size_t k = 0; k < m_s; ++k) f.v_s[k] = sg.preds[k][brow].var;
   f.jac = decoder_.jacobian(f.dec_cache);
   const double noise = std::exp(log_noise_);
-  la::Matrix sigma(m_t_, m_t_);
-  for (std::size_t a = 0; a < m_t_; ++a)
-    for (std::size_t b = 0; b < m_t_; ++b) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < m_s; ++k)
-        s += f.jac(a, k) * f.v_s[k] * f.jac(b, k);
-      sigma(a, b) = s + (a == b ? noise : 0.0);
-    }
   la::Vector r(m_t_);
   for (std::size_t m = 0; m < m_t_; ++m) r[m] = y_t_std_(row, m) - f.mean_t[m];
 
-  const la::Matrix sigma_inv = small_spd_factor(sigma, chol).inv;
+  factor_sigma(f, ss);
+  const la::Matrix& sigma_inv = ss.inv;
   const la::Vector w = la::matvec(sigma_inv, r);
 
   // dNLL/dSigma = 0.5 (Sigma^-1 - w w^T).
@@ -419,9 +406,9 @@ void KatGp::fit(util::Rng& rng) {
       // shared gradients serially in point order.
       KATO_OBS_SPAN("kat_backward");
       util::parallel_for(b, [&](std::size_t b0, std::size_t b1) {
-        la::Matrix chol;
+        SigmaScratch ss;
         for (std::size_t bi = b0; bi < b1; ++bi)
-          point_grad(fwd[bi], idx[bi], mean_only, sg, bi, pg[bi], chol);
+          point_grad(fwd[bi], idx[bi], mean_only, sg, bi, pg[bi], ss);
       });
       for (std::size_t bi = 0; bi < b; ++bi)
         accumulate_point(fwd[bi], mean_only, pg[bi]);
@@ -545,7 +532,7 @@ double KatGp::nll() const {
   std::vector<double> point(n);
   util::parallel_for(n, [&](std::size_t i0, std::size_t i1) {
     Forward f;
-    la::Matrix sigma_chol;
+    SigmaScratch ss;
     f.mu_s.resize(m_s);
     f.v_s.resize(m_s);
     for (std::size_t i = i0; i < i1; ++i) {
@@ -555,7 +542,7 @@ double KatGp::nll() const {
       }
       f.mean_t = decoder_.forward(f.mu_s, f.dec_cache);
       f.jac = decoder_.jacobian(f.dec_cache);
-      point[i] = point_nll(f, i, sigma_chol);
+      point[i] = point_nll(f, i, ss);
     }
   });
   double total = 0.0;

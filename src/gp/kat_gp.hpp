@@ -129,20 +129,31 @@ class KatGp {
     double noise = 0.0;  ///< d NLL / d log sigma_t^2 term
   };
 
+  /// A point's m_t x m_t predictive covariance Sigma = J diag(v_s) J^T +
+  /// noise I, its jittered Cholesky factor and its inverse.  Reused across
+  /// points, so the per-point factor allocates nothing.
+  struct SigmaScratch {
+    la::Matrix sigma;
+    la::Matrix l;
+    la::Matrix inv;
+    la::Vector tmp;  ///< cholesky_inverse_small_into's column buffer
+  };
+
   Forward forward(std::span<const double> x) const;
-  /// NLL of one target point given a forward pass.  `chol` is a reused
-  /// buffer for the factor of the point's m_t x m_t predictive covariance.
-  double point_nll(const Forward& f, std::size_t row, la::Matrix& chol) const;
+  /// Sigma of the forward pass f, factored and inverted into s.
+  void factor_sigma(const Forward& f, SigmaScratch& s) const;
+  /// NLL of one target point given a forward pass.
+  double point_nll(const Forward& f, std::size_t row, SigmaScratch& s) const;
   /// The per-point half of a training step, const and run on the pool: the
   /// decoder forward pass (plus its Jacobian past the warm-up) from the
   /// point's source posterior (sg row `brow`), then the loss gradient back
   /// through the decoder, the Delta-method covariance and the source
   /// posterior into the encoder, written to `g` as backprop deltas and
   /// Jacobian-path terms.  With mean_only the loss is the squared error of
-  /// the predictive mean (warmup phase).  `chol` is as in point_nll.
+  /// the predictive mean (warmup phase).
   void point_grad(Forward& f, std::size_t row, bool mean_only,
                   const SourceGrads& sg, std::size_t brow, PointGrad& g,
-                  la::Matrix& chol) const;
+                  SigmaScratch& s) const;
   /// The serial half: add one point's terms into the encoder/decoder
   /// gradients and noise_grad_, in the order a single fused backward pass
   /// adds them.

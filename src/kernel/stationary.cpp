@@ -1,8 +1,10 @@
 #include "kernel/stationary.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/lanes.hpp"
 #include "util/parallel.hpp"
 
 namespace kato::kern {
@@ -19,6 +21,109 @@ double ard_r2(std::span<const double> a, std::span<const double> b,
     r2 += w[j] * diff * diff;
   }
   return r2;
+}
+
+/// Rows per posterior_input_grad chunk: their coefficients sit on the stack.
+constexpr std::size_t k_grad_chunk = 64;
+
+/// One register pass of posterior_input_grad over dims [m, m + g L::width)
+/// and rows [i0, i1) of x2, whose coefficients (s2 dg/dr2) 2 are c[i - i0]:
+/// dk = (c w_m) (x_m - x2(i, m)), dmean_m += dk alpha_i and, unless
+/// mean_only, dvar_m += (-2 dk) kinv_k_i.  Every entry takes its rows in
+/// increasing i with separate multiplies and adds, as the scalar loop does.
+template <class L, std::size_t g, bool mean_only>
+KATO_LA_INLINE void input_grad_pass(const double* x, const double* w,
+                                    const la::Matrix& x2, std::size_t i0,
+                                    std::size_t i1, const double* c,
+                                    const double* alpha, const double* kinv_k,
+                                    double* dmean, double* dvar,
+                                    std::size_t m) {
+  using V = typename L::V;
+  constexpr std::size_t lw = L::width;
+  V xv[g], wv[g], dm[g];
+  V dv[g] = {};  // unused in the mean-only mode
+#pragma GCC unroll 2
+  for (std::size_t q = 0; q < g; ++q) {
+    xv[q] = la::at<L>(x + m + q * lw);
+    wv[q] = la::at<L>(w + m + q * lw);
+    dm[q] = la::at<L>(dmean + m + q * lw);
+    if constexpr (!mean_only) dv[q] = la::at<L>(dvar + m + q * lw);
+  }
+  for (std::size_t i = i0; i < i1; ++i) {
+    const double* xi = x2.row(i).data() + m;
+    const double ci = c[i - i0];
+#pragma GCC unroll 2
+    for (std::size_t q = 0; q < g; ++q) {
+      const V dk = ci * wv[q] * (xv[q] - la::at<L>(xi + q * lw));
+      dm[q] += dk * alpha[i];
+      if constexpr (!mean_only) dv[q] += -2.0 * dk * kinv_k[i];
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t q = 0; q < g; ++q) {
+    la::at<L>(dmean + m + q * lw) = dm[q];
+    if constexpr (!mean_only) la::at<L>(dvar + m + q * lw) = dv[q];
+  }
+}
+
+/// All dims of one chunk of rows: passes of two registers, then one, then a
+/// scalar tail with the same arithmetic.
+template <class L, bool mean_only>
+KATO_LA_INLINE void input_grad_chunk(const double* x, const double* w,
+                                     std::size_t d, const la::Matrix& x2,
+                                     std::size_t i0, std::size_t i1,
+                                     const double* c, const double* alpha,
+                                     const double* kinv_k, double* dmean,
+                                     double* dvar) {
+  constexpr std::size_t lw = L::width;
+  std::size_t m = 0;
+  for (; m + 2 * lw <= d; m += 2 * lw)
+    input_grad_pass<L, 2, mean_only>(x, w, x2, i0, i1, c, alpha, kinv_k,
+                                     dmean, dvar, m);
+  for (; m + lw <= d; m += lw)
+    input_grad_pass<L, 1, mean_only>(x, w, x2, i0, i1, c, alpha, kinv_k,
+                                     dmean, dvar, m);
+  for (; m < d; ++m)
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double dk = c[i - i0] * w[m] * (x[m] - x2(i, m));
+      dmean[m] += dk * alpha[i];
+      if constexpr (!mean_only) dvar[m] += -2.0 * dk * kinv_k[i];
+    }
+}
+
+using InputGradChunk = void (*)(const double*, const double*, std::size_t,
+                                const la::Matrix&, std::size_t, std::size_t,
+                                const double*, const double*, const double*,
+                                double*, double*);
+
+// The two builds of the chunk, with and without the variance gradient (see
+// linalg/lanes.hpp).
+template <bool mean_only>
+void input_grad_sse2(const double* x, const double* w, std::size_t d,
+                     const la::Matrix& x2, std::size_t i0, std::size_t i1,
+                     const double* c, const double* alpha,
+                     const double* kinv_k, double* dmean, double* dvar) {
+  input_grad_chunk<la::L2, mean_only>(x, w, d, x2, i0, i1, c, alpha, kinv_k,
+                                      dmean, dvar);
+}
+
+#if KATO_LA_AVX2
+template <bool mean_only>
+KATO_LA_TARGET_AVX2 void input_grad_avx2(
+    const double* x, const double* w, std::size_t d, const la::Matrix& x2,
+    std::size_t i0, std::size_t i1, const double* c, const double* alpha,
+    const double* kinv_k, double* dmean, double* dvar) {
+  input_grad_chunk<la::L4, mean_only>(x, w, d, x2, i0, i1, c, alpha, kinv_k,
+                                      dmean, dvar);
+}
+#endif
+
+InputGradChunk input_grad_build(bool mean_only) {
+#if KATO_LA_AVX2
+  if (la::active_isa() == la::Isa::avx2)
+    return mean_only ? input_grad_avx2<true> : input_grad_avx2<false>;
+#endif
+  return mean_only ? input_grad_sse2<true> : input_grad_sse2<false>;
 }
 
 /// Fit-scoped caches for StationaryArd.  Pairs (i, j > i) are stored packed
@@ -221,25 +326,23 @@ void StationaryArd::posterior_input_grad(std::span<const double> x,
                             dim_);
   for (std::size_t m = 0; m < dim_; ++m) w[m] = std::exp(params_[1 + m]);
   const double s2 = amplitude2();
-  for (std::size_t i = 0; i < x2.rows(); ++i) {
-    const auto xi = x2.row(i);
-    const double s2_dgr2 = type_ == StationaryType::rbf
-                               ? -kx[i]
-                               : s2 * dg_dr2(ard_r2(x, xi, w));
-    // Same product order as input_grad(): ((s2 dg/dr2) 2 w_m) diff_m.
-    const double c = s2_dgr2 * 2.0;
-    if (dvar.empty()) {  // mean-only
-      for (std::size_t m = 0; m < dim_; ++m) {
-        const double dk = c * w[m] * (x[m] - xi[m]);
-        dmean[m] += dk * alpha[i];
-      }
-      continue;
+  const bool mean_only = dvar.empty();
+  const InputGradChunk chunk = input_grad_build(mean_only);
+  // Per chunk of rows: the coefficients (s2 dg/dr2) 2 first, scalar (the
+  // non-RBF types call dg_dr2), then the register passes over the dims.
+  double c[k_grad_chunk];
+  for (std::size_t i0 = 0; i0 < x2.rows(); i0 += k_grad_chunk) {
+    const std::size_t i1 = std::min(x2.rows(), i0 + k_grad_chunk);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double s2_dgr2 = type_ == StationaryType::rbf
+                                 ? -kx[i]
+                                 : s2 * dg_dr2(ard_r2(x, x2.row(i), w));
+      // Same product order as input_grad(): ((s2 dg/dr2) 2 w_m) diff_m.
+      c[i - i0] = s2_dgr2 * 2.0;
     }
-    for (std::size_t m = 0; m < dim_; ++m) {
-      const double dk = c * w[m] * (x[m] - xi[m]);
-      dmean[m] += dk * alpha[i];
-      dvar[m] += -2.0 * dk * kinv_k[i];
-    }
+    chunk(x.data(), w.data(), dim_, x2, i0, i1, c, alpha.data(),
+          mean_only ? nullptr : kinv_k.data(), dmean.data(),
+          mean_only ? nullptr : dvar.data());
   }
 }
 

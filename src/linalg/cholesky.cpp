@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/v2.hpp"
+#include "linalg/lanes.hpp"
 
 namespace kato::la {
 
@@ -15,7 +15,8 @@ namespace {
 /// partially updated values already stored there.  Returns false when the
 /// block is not positive definite.  Below each diagonal entry, four rows
 /// run their independent sums side by side.
-bool factor_diag_block(Matrix& l, std::size_t j0, std::size_t nb) {
+KATO_LA_INLINE bool factor_diag_block(Matrix& l, std::size_t j0,
+                                     std::size_t nb) {
   const std::size_t n = l.cols();
   const std::size_t j1 = j0 + nb;
   for (std::size_t j = j0; j < j1; ++j) {
@@ -65,208 +66,471 @@ constexpr std::size_t k_chol_block = 48;
 /// The rows below a panel are packed in blocks of four: block b holds rows
 /// 4b..4b+3 (counted from the first row below the panel), and for each panel
 /// column c the four rows' values sit side by side at [b][c][0..3].  A row
-/// block is then two V2 loads per column, and a block is contiguous, so the
-/// tiles below stream through it.  Rows past the matrix are zero padding:
-/// their lanes are computed and never written back.
+/// block is then one or two register loads per column, and a block is
+/// contiguous, so the tiles below stream through it.  Rows past the matrix
+/// are zero padding: their lanes are computed and never written back.
 template <class T>
-T* panel_block(T* p, std::size_t nb, std::size_t b) {
+KATO_LA_INLINE T* panel_block(T* p, std::size_t nb, std::size_t b) {
   return p + b * nb * 4;
 }
 
+/// Row blocks per panel-solve sweep: four registers of L::width lanes each,
+/// so 4 L::width rows (two blocks on two lanes, four on four).
+template <class L>
+constexpr std::size_t k_panel_sweep = L::width;
+
 /// Triangular solve of the packed rows against the factored diagonal block
-/// (rows j0..j0+nb of l), eight rows per sweep.  Each lane runs the scalar
-/// recurrence of its row: s = l(i, c), minus l(i, k) l(c, k) for k = j0..c-1
-/// in order, divided by l(c, c).
-void panel_solve(const Matrix& l, std::size_t j0, std::size_t nb,
-                 std::vector<double>& p, std::size_t blocks) {
+/// (rows j0..j0+nb of l), k_panel_sweep<L> blocks per sweep.  Each lane runs
+/// the scalar recurrence of its row: s = l(i, c), minus l(i, k) l(c, k) for
+/// k = j0..c-1 in order, divided by l(c, c).
+template <class L>
+KATO_LA_INLINE void panel_solve(const Matrix& l, std::size_t j0,
+                                std::size_t nb, double* p,
+                                std::size_t blocks) {
+  using V = typename L::V;
+  constexpr std::size_t w = L::width;
   const std::size_t n = l.cols();
-  for (std::size_t b = 0; b < blocks; b += 2) {
-    double* p0 = panel_block(p.data(), nb, b);
-    double* p1 = panel_block(p.data(), nb, b + 1);
+  for (std::size_t b = 0; b < blocks; b += k_panel_sweep<L>) {
+    // Register r holds lanes (r w) % 4 .. of block b + r w / 4.
+    double* q[4];
+    for (std::size_t r = 0; r < 4; ++r)
+      q[r] = panel_block(p, nb, b + r * w / 4) + r * w % 4;
     for (std::size_t c = 0; c < nb; ++c) {
       const double* lc = l.data().data() + (j0 + c) * n + j0;
-      V2 s0 = load2(p0 + c * 4);
-      V2 s1 = load2(p0 + c * 4 + 2);
-      V2 s2 = load2(p1 + c * 4);
-      V2 s3 = load2(p1 + c * 4 + 2);
+      V s[4];
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < 4; ++r) s[r] = at<L>(q[r] + c * 4);
       for (std::size_t k = 0; k < c; ++k) {
-        const V2 v = bcast(lc[k]);
-        s0 -= load2(p0 + k * 4) * v;
-        s1 -= load2(p0 + k * 4 + 2) * v;
-        s2 -= load2(p1 + k * 4) * v;
-        s3 -= load2(p1 + k * 4 + 2) * v;
+        const double v = lc[k];
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < 4; ++r) s[r] -= at<L>(q[r] + k * 4) * v;
       }
-      const V2 d = bcast(lc[c]);
-      store2(p0 + c * 4, s0 / d);
-      store2(p0 + c * 4 + 2, s1 / d);
-      store2(p1 + c * 4, s2 / d);
-      store2(p1 + c * 4 + 2, s3 / d);
+      const double d = lc[c];
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < 4; ++r) at<L>(q[r] + c * 4) = s[r] / d;
     }
   }
 }
 
-/// l(i, j) -= sum_c l(i, c) l(j, c) over the panel's columns, for every
-/// j1 <= j <= i, in 4 x 4 tiles (rows i: broadcasts, columns j: two V2
-/// loads).  Each entry's sum starts at 0.0 and runs over c in order, as in
-/// the scalar update, and is subtracted once.
-void trailing_update(Matrix& l, std::size_t j1, std::size_t nb,
-                     const std::vector<double>& p, std::size_t blocks) {
+/// l(i, j) -= sum_c l(i, c) l(j, c) over the panel's columns for the tile of
+/// row block bi (rows i: broadcasts) and cb column blocks from bj (columns
+/// j: loads), entries with j <= i only.  Each entry's sum starts at 0.0 and
+/// runs over c in order, as in the scalar update, and is subtracted once.
+template <class L, std::size_t cb>
+KATO_LA_INLINE void trailing_tile(Matrix& l, std::size_t j1, std::size_t nb,
+                                  const double* p, std::size_t bi,
+                                  std::size_t bj) {
+  using V = typename L::V;
+  constexpr std::size_t w = L::width;
+  constexpr std::size_t nv = 4 * cb / w;  // registers per row
   const std::size_t n = l.cols();
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    const double* pi = panel_block(p.data(), nb, bi);
-    const std::size_t i0 = j1 + bi * 4;
-    if (i0 >= n) break;
-    for (std::size_t bj = 0; bj <= bi; ++bj) {
-      const double* pj = panel_block(p.data(), nb, bj);
-      V2 a00 = {0.0, 0.0};
-      V2 a01 = a00, a10 = a00, a11 = a00, a20 = a00, a21 = a00, a30 = a00,
-         a31 = a00;
-      for (std::size_t c = 0; c < nb; ++c) {
-        const V2 c0 = load2(pj + c * 4);
-        const V2 c1 = load2(pj + c * 4 + 2);
-        const double* r = pi + c * 4;
-        const V2 v0 = bcast(r[0]);
-        a00 += v0 * c0;
-        a01 += v0 * c1;
-        const V2 v1 = bcast(r[1]);
-        a10 += v1 * c0;
-        a11 += v1 * c1;
-        const V2 v2 = bcast(r[2]);
-        a20 += v2 * c0;
-        a21 += v2 * c1;
-        const V2 v3 = bcast(r[3]);
-        a30 += v3 * c0;
-        a31 += v3 * c1;
-      }
-      double acc[4][4];
-      store2(acc[0], a00);
-      store2(acc[0] + 2, a01);
-      store2(acc[1], a10);
-      store2(acc[1] + 2, a11);
-      store2(acc[2], a20);
-      store2(acc[2] + 2, a21);
-      store2(acc[3], a30);
-      store2(acc[3] + 2, a31);
-      const std::size_t jt = j1 + bj * 4;
-      for (std::size_t r = 0; r < 4 && i0 + r < n; ++r)
-        for (std::size_t q = 0; q < 4 && jt + q <= i0 + r; ++q)
-          l(i0 + r, jt + q) -= acc[r][q];
+  const double* pi = panel_block(p, nb, bi);
+  const double* pj[nv];
+  for (std::size_t v = 0; v < nv; ++v)
+    pj[v] = panel_block(p, nb, bj + v * w / 4) + v * w % 4;
+  V a[4][nv] = {};
+  for (std::size_t c = 0; c < nb; ++c) {
+    V col[nv];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < nv; ++v) col[v] = at<L>(pj[v] + c * 4);
+    const double* r = pi + c * 4;
+#pragma GCC unroll 4
+    for (std::size_t rr = 0; rr < 4; ++rr) {
+      const double x = r[rr];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < nv; ++v) a[rr][v] += x * col[v];
     }
   }
+  double acc[4][4 * cb];
+  for (std::size_t rr = 0; rr < 4; ++rr)
+    for (std::size_t v = 0; v < nv; ++v) at<L>(acc[rr] + v * w) = a[rr][v];
+  const std::size_t i0 = j1 + bi * 4;
+  const std::size_t jt = j1 + bj * 4;
+  for (std::size_t r = 0; r < 4 && i0 + r < n; ++r)
+    for (std::size_t q = 0; q < 4 * cb && jt + q <= i0 + r; ++q)
+      l(i0 + r, jt + q) -= acc[r][q];
+}
+
+/// The trailing update below a panel: for every row block, tiles of
+/// L::width / 2 column blocks (eight registers), then single blocks.
+template <class L>
+KATO_LA_INLINE void trailing_update(Matrix& l, std::size_t j1, std::size_t nb,
+                                    const double* p, std::size_t blocks) {
+  constexpr std::size_t cb = L::width / 2;
+  for (std::size_t bi = 0; bi < blocks && j1 + bi * 4 < l.cols(); ++bi) {
+    std::size_t bj = 0;
+    for (; bj + cb <= bi + 1; bj += cb)
+      trailing_tile<L, cb>(l, j1, nb, p, bi, bj);
+    for (; bj <= bi; ++bj) trailing_tile<L, 1>(l, j1, nb, p, bi, bj);
+  }
+}
+
+template <class L>
+KATO_LA_INLINE bool cholesky_tiled(const Matrix& a, Matrix& l, double jitter) {
+  const std::size_t n = a.rows();
+  if (l.rows() != n || l.cols() != n) l = Matrix(n, n);
+  // Copy the lower triangle (plus jitter); factored in place panel by panel.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
+    l(i, i) += jitter;
+    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
+  }
+  std::vector<double> p;  // packed rows below the current panel
+  for (std::size_t j0 = 0; j0 < n; j0 += k_chol_block) {
+    const std::size_t nb = std::min(k_chol_block, n - j0);
+    const std::size_t j1 = j0 + nb;
+    if (!factor_diag_block(l, j0, nb)) return false;
+    if (j1 == n) break;
+    const std::size_t rows = n - j1;
+    constexpr std::size_t sweep = k_panel_sweep<L>;
+    const std::size_t blocks = (rows + 4 * sweep - 1) / (4 * sweep) * sweep;
+    p.assign(blocks * nb * 4, 0.0);
+    for (std::size_t ii = 0; ii < rows; ++ii) {
+      double* pb = panel_block(p.data(), nb, ii / 4) + ii % 4;
+      const double* li = l.data().data() + (j1 + ii) * n + j0;
+      for (std::size_t c = 0; c < nb; ++c) pb[c * 4] = li[c];
+    }
+    panel_solve<L>(l, j0, nb, p.data(), blocks);
+    for (std::size_t ii = 0; ii < rows; ++ii) {
+      const double* pb = panel_block(p.data(), nb, ii / 4) + ii % 4;
+      double* li = l.data().data() + (j1 + ii) * n + j0;
+      for (std::size_t c = 0; c < nb; ++c) li[c] = pb[c * 4];
+    }
+    trailing_update<L>(l, j1, nb, p.data(), blocks);
+  }
+  return true;
 }
 
 /// Terms k = c .. k1-1 of entry (i, c) of X = L^{-1}, whose row i of L is li
-/// and whose column c is tc (row c of t).  Even columns seed with -(l t) and
-/// odd ones with 0.0 - l t: the two seeds differ only in the sign of an
-/// exact zero, and each column keeps the one it has always had.
-double inverse_partial(const double* li, const double* tc, std::size_t c,
-                       std::size_t k1) {
-  double s = c % 2 == 0 ? -li[c] * tc[c] : 0.0 - li[c] * tc[c];
-  for (std::size_t k = c + 1; k < k1; ++k) s -= li[k] * tc[k];
+/// and whose column c is read from xc[k * stride] (row c of t, or column
+/// c - c0 of a sweep's w).  Even columns seed with -(l x) and odd ones with
+/// 0.0 - l x: the two seeds differ only in the sign of an exact zero, and
+/// each column keeps the one it has always had.
+template <std::size_t stride>
+KATO_LA_INLINE double inverse_partial(const double* li, const double* xc,
+                                      std::size_t c, std::size_t k1) {
+  const double x = xc[c * stride];
+  double s = c % 2 == 0 ? -li[c] * x : 0.0 - li[c] * x;
+  for (std::size_t k = c + 1; k < k1; ++k) s -= li[k] * xc[k * stride];
   return s;
 }
 
-/// Columns per sweep of lower_inverse_transposed_into (four V2 lanes).
+/// Columns per sweep of lower_inverse_transposed_into.
 constexpr std::size_t k_inv_cols = 8;
 
-/// Head terms k = c0+q .. c0+7 of the eight entries (i, c0+q), q < 8, of a
-/// sweep's row i: li points at l(i, c0) and wh at the sweep's own rows of
-/// w (wh[q][p] = X(c0 + q, c0 + p)).  Lane pair h (columns c0+2h, c0+2h+1)
-/// joins at k = c0+2h: its even column seeds there with -(l t), and its odd
-/// column starts from 0.0 and takes 0.0 - l t at its own k = c0+2h+1, so
-/// each lane runs inverse_partial's recurrence.
-void inverse_heads(const double* li, const double* wh, V2& a0, V2& a1,
-                   V2& a2, V2& a3) {
-  auto seed = [&](std::size_t q) {
-    return V2{-li[q] * wh[q * k_inv_cols + q], 0.0};
+template <class L>
+KATO_LA_INLINE void lower_inverse_tiled(const Matrix& l, Matrix& t) {
+  using V = typename L::V;
+  constexpr std::size_t w = L::width;
+  constexpr std::size_t nv = k_inv_cols / w;  // registers per row
+  constexpr std::size_t rows = w;             // rows per step: 8 registers
+  const std::size_t n = l.rows();
+  if (t.rows() != n || t.cols() != n) t = Matrix(n, n);
+  // Column c of X = L^{-1} satisfies L x = e_c; exploiting x_i = 0 for i < c
+  // the forward substitution costs n^3/6 MACs total.  Stored transposed
+  // (t(c, i) = X(i, c)) so each column is built along a contiguous row.
+  const double* lp = l.data().data();
+  double* tp = t.data().data();
+  for (std::size_t c = 0; c < n; ++c)
+    std::fill(tp + c * n, tp + c * n + c, 0.0);
+  auto entry = [&](std::size_t c, std::size_t i) {
+    const double* li = lp + i * n;
+    tp[c * n + i] = c == i ? 1.0 / li[i]
+                           : inverse_partial<1>(li, tp + c * n, c, i) / li[i];
   };
-  auto step = [&](V2& a, std::size_t h, std::size_t q) {
-    a -= bcast(li[q]) * load2(wh + q * k_inv_cols + 2 * h);
-  };
-  a0 = seed(0);
-  step(a0, 0, 1);
-  step(a0, 0, 2);
-  a1 = seed(2);
-  for (std::size_t q = 3; q < 5; ++q) {
-    step(a0, 0, q);
-    step(a1, 1, q);
+  // Sweeps of k_inv_cols columns c0.. .  Rows inside the sweep's own
+  // triangle run one entry at a time.  Below it, `rows` rows at a time go
+  // through w, the sweep's columns of X stored by row (w[k][q] = X(k,
+  // c0 + q)): each row's head terms k < ch (the lanes of a register join
+  // the recurrence at different k, see below), then its terms ch <= k < i
+  // as registers, and row i+r takes its terms k = i .. i+r-1 once the rows
+  // above it are final.
+  std::vector<double> wbuf;
+  std::size_t c0 = 0;
+  for (; c0 + k_inv_cols <= n; c0 += k_inv_cols) {
+    const std::size_t ch = c0 + k_inv_cols;
+    wbuf.resize(n * k_inv_cols);
+    double* wp = wbuf.data();
+    for (std::size_t i = c0; i < ch; ++i)
+      for (std::size_t c = c0; c <= i; ++c) {
+        entry(c, i);
+        wp[i * k_inv_cols + (c - c0)] = tp[c * n + i];
+      }
+    for (std::size_t i = ch; i < n; i += rows) {
+      const double* lr[rows];
+      for (std::size_t r = 0; r < rows; ++r)
+        lr[r] = lp + std::min(i + r, n - 1) * n;
+      V a[rows][nv];
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < rows; ++r)
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < nv; ++v) {
+          // Head terms k < ch of register v, columns cg + j.  Lane j < w-1
+          // runs its terms up to the group's last column cg + w - 1 scalar.
+          // That column is odd, so its lane seeds with 0.0 - l x: it starts
+          // from 0.0 and joins the register loop from its own k on.
+          const std::size_t cg = c0 + v * w;
+          double h[w];
+          for (std::size_t j = 0; j + 1 < w; ++j)
+            h[j] = inverse_partial<k_inv_cols>(lr[r], wp + v * w + j, cg + j,
+                                               cg + w - 1);
+          h[w - 1] = 0.0;
+          V head;
+          set_lanes<L>(head, h);
+          for (std::size_t k = cg + w - 1; k < ch; ++k)
+            head -= lr[r][k] * at<L>(wp + k * k_inv_cols + v * w);
+          a[r][v] = head;
+        }
+      const double* wk = wp + ch * k_inv_cols;
+      for (std::size_t k = ch; k < i; ++k, wk += k_inv_cols) {
+        double u[rows];
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < rows; ++r) u[r] = lr[r][k];
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < nv; ++v) {
+          const V x = at<L>(wk + v * w);
+#pragma GCC unroll 4
+          for (std::size_t r = 0; r < rows; ++r) a[r][v] -= u[r] * x;
+        }
+      }
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (i + r >= n) break;
+#pragma GCC unroll 4
+        for (std::size_t p = 0; p < r; ++p) {
+          const double u = lr[r][i + p];
+          const double* wq = wp + (i + p) * k_inv_cols;
+#pragma GCC unroll 4
+          for (std::size_t v = 0; v < nv; ++v) a[r][v] -= u * at<L>(wq + v * w);
+        }
+        const double d = lr[r][i + r];
+        double* wr = wp + (i + r) * k_inv_cols;
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < nv; ++v) at<L>(wr + v * w) = a[r][v] / d;
+        for (std::size_t q = 0; q < k_inv_cols; ++q)
+          tp[(c0 + q) * n + i + r] = wr[q];
+      }
+    }
   }
-  a2 = seed(4);
-  for (std::size_t q = 5; q < 7; ++q) {
-    step(a0, 0, q);
-    step(a1, 1, q);
-    step(a2, 2, q);
-  }
-  a3 = seed(6);
-  step(a0, 0, 7);
-  step(a1, 1, 7);
-  step(a2, 2, 7);
-  step(a3, 3, 7);
+  for (std::size_t c = c0; c < n; ++c)
+    for (std::size_t i = c; i < n; ++i) entry(c, i);
 }
 
 /// sum_{k = k0}^{k1-1} ti[k] tj[k], from 0.0 in increasing k.
-double gram_partial(const double* ti, const double* tj, std::size_t k0,
-                    std::size_t k1) {
+KATO_LA_INLINE double gram_partial(const double* ti, const double* tj,
+                                   std::size_t k0, std::size_t k1) {
   double s = 0.0;
   for (std::size_t k = k0; k < k1; ++k) s += ti[k] * tj[k];
   return s;
 }
 
-/// Forward sweep of L X = B over query columns [j, j + 2 nv) of x (nv = 1
-/// or 2 V2 lanes per row), two rows at a time.  Row i+1 runs its k < i
-/// terms alongside row i and takes its k = i term once row i is final.
-/// Every entry starts from b, subtracts l(i, k) x(k, j) in increasing k
-/// (skipping l(i, k) == 0) and is scaled by 1 / l(i, i).
-template <std::size_t nv>
-void solve_lower_tile(const Matrix& l, Matrix& x, std::size_t j) {
-  static_assert(nv == 1 || nv == 2);
+/// Entries (i0 + r, j + q), r < 4, q < nc, of T T^T for a block of four rows
+/// i0.. against nc columns j.. <= i0, into acc[q * 4 + r].  Row i0 + r owns
+/// its head terms k = i0 + r .. i0 + 2 alone (scalar); from k = i0 + 3 on
+/// the four rows run as registers over p, the block's rows of t stored by k
+/// (p[k][r] = t(i0 + r, k)), each against a broadcast of t(j + q, k).
+template <class L, std::size_t nc>
+KATO_LA_INLINE void gram_tile(const double* t, std::size_t n, std::size_t i0,
+                              std::size_t j, const double* p, double* acc) {
+  using V = typename L::V;
+  constexpr std::size_t w = L::width;
+  constexpr std::size_t nv = 4 / w;  // registers per column
+  const double* ti = t + i0 * n;
+  const std::size_t kb = i0 + 3;
+  V a[nc][nv];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < nc; ++q) {
+    const double* tj = t + (j + q) * n;
+    const double h[4] = {gram_partial(ti, tj, i0, kb),
+                         gram_partial(ti + n, tj, i0 + 1, kb),
+                         gram_partial(ti + 2 * n, tj, i0 + 2, kb), 0.0};
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < nv; ++v) set_lanes<L>(a[q][v], h + v * w);
+  }
+  for (std::size_t k = kb; k < n; ++k) {
+    V x[nv];
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < nv; ++v) x[v] = at<L>(p + k * 4 + v * w);
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < nc; ++q) {
+      const double u = t[(j + q) * n + k];
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < nv; ++v) a[q][v] += x[v] * u;
+    }
+  }
+  for (std::size_t q = 0; q < nc; ++q)
+    for (std::size_t v = 0; v < nv; ++v) at<L>(acc + q * 4 + v * w) = a[q][v];
+}
+
+template <class L>
+KATO_LA_INLINE void gram_tiled(const Matrix& t_scratch, Matrix& inv) {
+  const std::size_t n = t_scratch.rows();
+  // inv(i, j) = sum_k X(k, i) X(k, j) with X = L^{-1}: the sum starts at
+  // k = max(i, j) because X is lower triangular, and both factors are
+  // contiguous rows of the transposed storage.  Mirrored, so exactly
+  // symmetric — no post-hoc symmetrization needed.
+  const double* t = t_scratch.data().data();
+  auto set = [&](std::size_t i, std::size_t j, double v) {
+    inv(i, j) = v;
+    inv(j, i) = v;
+  };
+  // Blocks of four rows i0..i0+3 against columns j <= i0: gram_tile in
+  // tiles of 2 L::width columns (eight registers), then 4, then 1.
+  constexpr std::size_t wide = 2 * L::width;
+  std::vector<double> p(4 * n);
+  std::size_t i0 = 0;
+  for (; i0 + 4 <= n; i0 += 4) {
+    const double* ti = t + i0 * n;
+    for (std::size_t k = i0 + 3; k < n; ++k)
+      for (std::size_t r = 0; r < 4; ++r) p[k * 4 + r] = ti[r * n + k];
+    double acc[wide * 4];
+    auto put = [&](std::size_t j, std::size_t nc) {
+      for (std::size_t q = 0; q < nc; ++q)
+        for (std::size_t r = 0; r < 4; ++r)
+          set(i0 + r, j + q, acc[q * 4 + r]);
+    };
+    std::size_t j = 0;
+    for (; j + wide <= i0 + 1; j += wide) {
+      gram_tile<L, wide>(t, n, i0, j, p.data(), acc);
+      put(j, wide);
+    }
+    if constexpr (wide > 4) {
+      for (; j + 4 <= i0 + 1; j += 4) {
+        gram_tile<L, 4>(t, n, i0, j, p.data(), acc);
+        put(j, 4);
+      }
+    }
+    for (; j <= i0; ++j) {
+      gram_tile<L, 1>(t, n, i0, j, p.data(), acc);
+      put(j, 1);
+    }
+    for (std::size_t r = 1; r < 4; ++r)  // the block's own triangle
+      for (std::size_t c = i0 + 1; c <= i0 + r; ++c)
+        set(i0 + r, c, gram_partial(ti + r * n, t + c * n, i0 + r, n));
+  }
+  for (std::size_t i = i0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      set(i, j, gram_partial(t + i * n, t + j * n, i, n));
+}
+
+/// Forward sweep of L X = B over query columns [j, j + nv L::width) of x,
+/// `rows` rows at a time.  Row i+r runs its k < i terms alongside row i and
+/// takes its terms k = i .. i+r-1 once the rows above it are final.  Every
+/// entry starts from b, subtracts l(i, k) x(k, j) in increasing k (skipping
+/// l(i, k) == 0) and is scaled by 1 / l(i, i).
+template <class L, std::size_t rows, std::size_t nv>
+KATO_LA_INLINE void solve_lower_tile(const Matrix& l, Matrix& x,
+                                     std::size_t j) {
+  using V = typename L::V;
+  constexpr std::size_t w = L::width;
   const std::size_t n = l.rows();
   const std::size_t m = x.cols();
   const double* lp = l.data().data();
   double* xp = x.data().data();
-  for (std::size_t i = 0; i < n; i += 2) {
-    const bool pair = i + 1 < n;
-    const double* l0 = lp + i * n;
-    const double* l1 = pair ? l0 + n : l0;
-    double* x0 = xp + i * m + j;
-    double* x1 = pair ? x0 + m : x0;
-    V2 a0 = load2(x0);
-    V2 b0 = load2(x1);
-    V2 a1 = nv == 2 ? load2(x0 + 2) : a0;
-    V2 b1 = nv == 2 ? load2(x1 + 2) : b0;
+  for (std::size_t i = 0; i < n; i += rows) {
+    const double* lr[rows];
+    double* xr[rows];
+    for (std::size_t r = 0; r < rows; ++r) {
+      lr[r] = lp + std::min(i + r, n - 1) * n;
+      xr[r] = xp + std::min(i + r, n - 1) * m + j;
+    }
+    V a[rows][nv];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < rows; ++r)
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < nv; ++v) a[r][v] = at<L>(xr[r] + v * w);
     for (std::size_t k = 0; k < i; ++k) {
       const double* xk = xp + k * m + j;
-      const V2 v0 = load2(xk);
-      const V2 v1 = nv == 2 ? load2(xk + 2) : v0;
-      if (l0[k] != 0.0) {
-        const V2 s = bcast(l0[k]);
-        a0 -= s * v0;
-        if constexpr (nv == 2) a1 -= s * v1;
-      }
-      if (l1[k] != 0.0) {
-        const V2 s = bcast(l1[k]);
-        b0 -= s * v0;
-        if constexpr (nv == 2) b1 -= s * v1;
+      V xv[nv];
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < nv; ++v) xv[v] = at<L>(xk + v * w);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double s = lr[r][k];
+        if (s == 0.0) continue;
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < nv; ++v) a[r][v] -= s * xv[v];
       }
     }
-    const V2 inv0 = bcast(1.0 / l0[i]);
-    a0 *= inv0;
-    store2(x0, a0);
-    if constexpr (nv == 2) {
-      a1 *= inv0;
-      store2(x0 + 2, a1);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (i + r >= n) break;
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < r; ++p) {
+        const double s = lr[r][i + p];
+        if (s == 0.0) continue;
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < nv; ++v) a[r][v] -= s * a[p][v];
+      }
+      const double inv = 1.0 / lr[r][i + r];
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < nv; ++v) {
+        a[r][v] *= inv;
+        at<L>(xr[r] + v * w) = a[r][v];
+      }
     }
-    if (!pair) break;
-    if (l1[i] != 0.0) {
-      const V2 s = bcast(l1[i]);
-      b0 -= s * a0;
-      if constexpr (nv == 2) b1 -= s * a1;
-    }
-    const V2 inv1 = bcast(1.0 / l1[i + 1]);
-    store2(x1, b0 * inv1);
-    if constexpr (nv == 2) store2(x1 + 2, b1 * inv1);
   }
 }
+
+/// solve_lower_multi's column tiles: 2 L::width columns, then L::width, then
+/// two, each tile L::width rows deep; a last odd column runs the same
+/// recurrence on one lane.
+template <class L>
+KATO_LA_INLINE void solve_lower_tiled(const Matrix& l, Matrix& x) {
+  constexpr std::size_t w = L::width;
+  constexpr std::size_t rows = L::width;
+  const std::size_t n = l.rows();
+  const std::size_t m = x.cols();
+  std::size_t j = 0;
+  for (; j + 2 * w <= m; j += 2 * w) solve_lower_tile<L, rows, 2>(l, x, j);
+  if (j + w <= m) {
+    solve_lower_tile<L, rows, 1>(l, x, j);
+    j += w;
+  }
+  if constexpr (w > 2) {
+    if (j + 2 <= m) {
+      solve_lower_tile<L2, 2, 1>(l, x, j);
+      j += 2;
+    }
+  }
+  if (j < m) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* li = l.data().data() + i * n;
+      double s = x(i, j);
+      for (std::size_t k = 0; k < i; ++k)
+        if (li[k] != 0.0) s -= li[k] * x(k, j);
+      x(i, j) = s * (1.0 / li[i]);
+    }
+  }
+}
+
+// The two builds of each tiled kernel (see linalg/lanes.hpp).
+bool cholesky_sse2(const Matrix& a, Matrix& l, double jitter) {
+  return cholesky_tiled<L2>(a, l, jitter);
+}
+void lower_inverse_sse2(const Matrix& l, Matrix& t) {
+  lower_inverse_tiled<L2>(l, t);
+}
+void gram_sse2(const Matrix& t, Matrix& inv) { gram_tiled<L2>(t, inv); }
+void solve_lower_sse2(const Matrix& l, Matrix& x) {
+  solve_lower_tiled<L2>(l, x);
+}
+
+#if KATO_LA_AVX2
+KATO_LA_TARGET_AVX2 bool cholesky_avx2(const Matrix& a, Matrix& l,
+                                       double jitter) {
+  return cholesky_tiled<L4>(a, l, jitter);
+}
+KATO_LA_TARGET_AVX2 void lower_inverse_avx2(const Matrix& l, Matrix& t) {
+  lower_inverse_tiled<L4>(l, t);
+}
+KATO_LA_TARGET_AVX2 void gram_avx2(const Matrix& t, Matrix& inv) {
+  gram_tiled<L4>(t, inv);
+}
+KATO_LA_TARGET_AVX2 void solve_lower_avx2(const Matrix& l, Matrix& x) {
+  solve_lower_tiled<L4>(l, x);
+}
+#endif
 
 }  // namespace
 
@@ -294,27 +558,18 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
   return x;
 }
 
-Matrix solve_lower_multi(const Matrix& l, const Matrix& b) {
-  const std::size_t n = l.rows();
-  if (b.rows() != n)
+Matrix solve_lower_multi(const Matrix& l, const Matrix& b, Isa isa) {
+  if (b.rows() != l.rows())
     throw std::invalid_argument("solve_lower_multi: size mismatch");
-  const std::size_t m = b.cols();
+  require_isa(isa, "solve_lower_multi");
   Matrix x = b;
-  std::size_t j = 0;
-  for (; j + 4 <= m; j += 4) solve_lower_tile<2>(l, x, j);
-  if (j + 2 <= m) {
-    solve_lower_tile<1>(l, x, j);
-    j += 2;
+#if KATO_LA_AVX2
+  if (isa == Isa::avx2) {
+    solve_lower_avx2(l, x);
+    return x;
   }
-  if (j < m) {  // a last odd column: the same recurrence, one lane
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* li = l.data().data() + i * n;
-      double s = x(i, j);
-      for (std::size_t k = 0; k < i; ++k)
-        if (li[k] != 0.0) s -= li[k] * x(k, j);
-      x(i, j) = s * (1.0 / li[i]);
-    }
-  }
+#endif
+  solve_lower_sse2(l, x);
   return x;
 }
 
@@ -336,14 +591,28 @@ Vector cholesky_solve(const Matrix& l, const Vector& b) {
 }
 
 Matrix cholesky_inverse(const Matrix& l) {
+  Matrix inv;
+  Vector tmp;
+  cholesky_inverse_small_into(l, inv, tmp);
+  return inv;
+}
+
+void cholesky_inverse_small_into(const Matrix& l, Matrix& inv, Vector& tmp) {
   const std::size_t n = l.rows();
-  Matrix inv(n, n);
-  Vector e(n, 0.0);
+  if (inv.rows() != n || inv.cols() != n) inv = Matrix(n, n);
+  tmp.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    e[j] = 1.0;
-    Vector col = cholesky_solve(l, e);
-    for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
-    e[j] = 0.0;
+    // L y = e_j into tmp, then L^T x = y into column j of inv.
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = i == j ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * tmp[k];
+      tmp[i] = s / l(i, i);
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      double s = tmp[ii];
+      for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * inv(k, j);
+      inv(ii, j) = s / l(ii, ii);
+    }
   }
   // Symmetrize to remove round-off asymmetry.
   for (std::size_t i = 0; i < n; ++i)
@@ -352,7 +621,6 @@ Matrix cholesky_inverse(const Matrix& l) {
       inv(i, j) = avg;
       inv(j, i) = avg;
     }
-  return inv;
 }
 
 double cholesky_logdet(const Matrix& l) {
@@ -361,40 +629,14 @@ double cholesky_logdet(const Matrix& l) {
   return 2.0 * s;
 }
 
-bool cholesky_into(const Matrix& a, Matrix& l, double jitter) {
+bool cholesky_into(const Matrix& a, Matrix& l, double jitter, Isa isa) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("cholesky_into: matrix must be square");
-  const std::size_t n = a.rows();
-  if (l.rows() != n || l.cols() != n) l = Matrix(n, n);
-  // Copy the lower triangle (plus jitter); factored in place panel by panel.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
-    l(i, i) += jitter;
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-  }
-  std::vector<double> p;  // packed rows below the current panel
-  for (std::size_t j0 = 0; j0 < n; j0 += k_chol_block) {
-    const std::size_t nb = std::min(k_chol_block, n - j0);
-    const std::size_t j1 = j0 + nb;
-    if (!factor_diag_block(l, j0, nb)) return false;
-    if (j1 == n) break;
-    const std::size_t rows = n - j1;
-    const std::size_t blocks = (rows + 7) / 8 * 2;  // pairs for panel_solve
-    p.assign(blocks * nb * 4, 0.0);
-    for (std::size_t ii = 0; ii < rows; ++ii) {
-      double* pb = panel_block(p.data(), nb, ii / 4) + ii % 4;
-      const double* li = l.data().data() + (j1 + ii) * n + j0;
-      for (std::size_t c = 0; c < nb; ++c) pb[c * 4] = li[c];
-    }
-    panel_solve(l, j0, nb, p, blocks);
-    for (std::size_t ii = 0; ii < rows; ++ii) {
-      const double* pb = panel_block(p.data(), nb, ii / 4) + ii % 4;
-      double* li = l.data().data() + (j1 + ii) * n + j0;
-      for (std::size_t c = 0; c < nb; ++c) li[c] = pb[c * 4];
-    }
-    trailing_update(l, j1, nb, p, blocks);
-  }
-  return true;
+  require_isa(isa, "cholesky_into");
+#if KATO_LA_AVX2
+  if (isa == Isa::avx2) return cholesky_avx2(a, l, jitter);
+#endif
+  return cholesky_sse2(a, l, jitter);
 }
 
 double cholesky_jittered_into(const Matrix& a, Matrix& l, int start_attempt) {
@@ -434,172 +676,23 @@ void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
   }
 }
 
-void lower_inverse_transposed_into(const Matrix& l, Matrix& t) {
-  const std::size_t n = l.rows();
-  if (t.rows() != n || t.cols() != n) t = Matrix(n, n);
-  // Column c of X = L^{-1} satisfies L x = e_c; exploiting x_i = 0 for i < c
-  // the forward substitution costs n^3/6 MACs total.  Stored transposed
-  // (t(c, i) = X(i, c)) so each column is built along a contiguous row.
-  double* tp = t.data().data();
-  for (std::size_t c = 0; c < n; ++c)
-    std::fill(tp + c * n, tp + c * n + c, 0.0);
-  auto entry = [&](std::size_t c, std::size_t i) {
-    const double* li = l.data().data() + i * n;
-    tp[c * n + i] = c == i ? 1.0 / li[i]
-                           : inverse_partial(li, tp + c * n, c, i) / li[i];
-  };
-  // Sweeps of k_inv_cols columns c0.. .  Rows inside the sweep's own
-  // triangle run one entry at a time.  Below it, rows go two at a time
-  // through w, the sweep's columns of X stored by row (w[k][q] = X(k,
-  // c0 + q)), as four V2 lanes per row; row i+1 takes its k = i term once
-  // row i is final.
-  std::vector<double> w;
-  std::size_t c0 = 0;
-  for (; c0 + k_inv_cols <= n; c0 += k_inv_cols) {
-    const std::size_t ch = c0 + k_inv_cols;
-    w.resize(n * k_inv_cols);
-    for (std::size_t i = c0; i < ch; ++i)
-      for (std::size_t c = c0; c <= i; ++c) {
-        entry(c, i);
-        w[i * k_inv_cols + (c - c0)] = tp[c * n + i];
-      }
-    const double* wh = w.data() + c0 * k_inv_cols;
-    for (std::size_t i = ch; i < n; i += 2) {
-      const bool pair = i + 1 < n;
-      const double* l0 = l.data().data() + i * n;
-      const double* l1 = pair ? l0 + n : l0;
-      V2 a0, a1, a2, a3, b0, b1, b2, b3;
-      inverse_heads(l0 + c0, wh, a0, a1, a2, a3);
-      inverse_heads(l1 + c0, wh, b0, b1, b2, b3);
-      const double* wk = w.data() + ch * k_inv_cols;
-      for (std::size_t k = ch; k < i; ++k, wk += k_inv_cols) {
-        const V2 w0 = load2(wk);
-        const V2 w1 = load2(wk + 2);
-        const V2 w2 = load2(wk + 4);
-        const V2 w3 = load2(wk + 6);
-        const V2 u = bcast(l0[k]);
-        a0 -= u * w0;
-        a1 -= u * w1;
-        a2 -= u * w2;
-        a3 -= u * w3;
-        const V2 v = bcast(l1[k]);
-        b0 -= v * w0;
-        b1 -= v * w1;
-        b2 -= v * w2;
-        b3 -= v * w3;
-      }
-      const V2 d0 = bcast(l0[i]);
-      double* wi = w.data() + i * k_inv_cols;
-      store2(wi, a0 / d0);
-      store2(wi + 2, a1 / d0);
-      store2(wi + 4, a2 / d0);
-      store2(wi + 6, a3 / d0);
-      for (std::size_t q = 0; q < k_inv_cols; ++q)
-        tp[(c0 + q) * n + i] = wi[q];
-      if (!pair) break;
-      const V2 v = bcast(l1[i]);
-      const V2 d1 = bcast(l1[i + 1]);
-      double* wj = wi + k_inv_cols;
-      store2(wj, (b0 - v * load2(wi)) / d1);
-      store2(wj + 2, (b1 - v * load2(wi + 2)) / d1);
-      store2(wj + 4, (b2 - v * load2(wi + 4)) / d1);
-      store2(wj + 6, (b3 - v * load2(wi + 6)) / d1);
-      for (std::size_t q = 0; q < k_inv_cols; ++q)
-        tp[(c0 + q) * n + i + 1] = wj[q];
-    }
-  }
-  for (std::size_t c = c0; c < n; ++c)
-    for (std::size_t i = c; i < n; ++i) entry(c, i);
+void lower_inverse_transposed_into(const Matrix& l, Matrix& t, Isa isa) {
+  require_isa(isa, "lower_inverse_transposed_into");
+#if KATO_LA_AVX2
+  if (isa == Isa::avx2) return lower_inverse_avx2(l, t);
+#endif
+  lower_inverse_sse2(l, t);
 }
 
-void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch) {
+void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch,
+                           Isa isa) {
   const std::size_t n = l.rows();
-  lower_inverse_transposed_into(l, t_scratch);
+  lower_inverse_transposed_into(l, t_scratch, isa);
   if (inv.rows() != n || inv.cols() != n) inv = Matrix(n, n);
-  // inv(i, j) = sum_k X(k, i) X(k, j) with X = L^{-1}: the sum starts at
-  // k = max(i, j) because X is lower triangular, and both factors are
-  // contiguous rows of the transposed storage.  Mirrored, so exactly
-  // symmetric — no post-hoc symmetrization needed.
-  const double* t = t_scratch.data().data();
-  auto set = [&](std::size_t i, std::size_t j, double v) {
-    inv(i, j) = v;
-    inv(j, i) = v;
-  };
-  // Blocks of four rows i0..i0+3 against four columns j..j+3 < i0.
-  // Row i0 + r owns the head terms k = i0 + r .. i0 + 2 alone; from
-  // k = i0 + 3 on the four rows run as two V2 lanes over p, the block's
-  // rows of t stored by k (p[k][r] = t(i0 + r, k)).
-  std::vector<double> p(4 * n);
-  std::size_t i0 = 0;
-  for (; i0 + 4 <= n; i0 += 4) {
-    const double* ti = t + i0 * n;
-    const std::size_t kb = i0 + 3;
-    for (std::size_t k = kb; k < n; ++k)
-      for (std::size_t r = 0; r < 4; ++r) p[k * 4 + r] = ti[r * n + k];
-    auto heads = [&](const double* tj, V2& lo, V2& hi) {
-      lo = V2{gram_partial(ti, tj, i0, kb), gram_partial(ti + n, tj, i0 + 1, kb)};
-      hi = V2{gram_partial(ti + 2 * n, tj, i0 + 2, kb), 0.0};
-    };
-    std::size_t j = 0;
-    for (; j + 4 <= i0; j += 4) {
-      const double* tj0 = t + j * n;
-      const double* tj1 = tj0 + n;
-      const double* tj2 = tj1 + n;
-      const double* tj3 = tj2 + n;
-      V2 a0, a1, b0, b1, c0, c1, d0, d1;
-      heads(tj0, a0, a1);
-      heads(tj1, b0, b1);
-      heads(tj2, c0, c1);
-      heads(tj3, d0, d1);
-      for (std::size_t k = kb; k < n; ++k) {
-        const V2 x0 = load2(p.data() + k * 4);
-        const V2 x1 = load2(p.data() + k * 4 + 2);
-        const V2 u0 = bcast(tj0[k]);
-        a0 += x0 * u0;
-        a1 += x1 * u0;
-        const V2 u1 = bcast(tj1[k]);
-        b0 += x0 * u1;
-        b1 += x1 * u1;
-        const V2 u2 = bcast(tj2[k]);
-        c0 += x0 * u2;
-        c1 += x1 * u2;
-        const V2 u3 = bcast(tj3[k]);
-        d0 += x0 * u3;
-        d1 += x1 * u3;
-      }
-      double acc[4][4];
-      store2(acc[0], a0);
-      store2(acc[0] + 2, a1);
-      store2(acc[1], b0);
-      store2(acc[1] + 2, b1);
-      store2(acc[2], c0);
-      store2(acc[2] + 2, c1);
-      store2(acc[3], d0);
-      store2(acc[3] + 2, d1);
-      for (std::size_t q = 0; q < 4; ++q)
-        for (std::size_t r = 0; r < 4; ++r) set(i0 + r, j + q, acc[q][r]);
-    }
-    {  // column j = i0, the last one every row of the block reaches
-      const double* tj = t + j * n;
-      V2 a0, a1;
-      heads(tj, a0, a1);
-      for (std::size_t k = kb; k < n; ++k) {
-        const V2 u = bcast(tj[k]);
-        a0 += load2(p.data() + k * 4) * u;
-        a1 += load2(p.data() + k * 4 + 2) * u;
-      }
-      double acc[4];
-      store2(acc, a0);
-      store2(acc + 2, a1);
-      for (std::size_t r = 0; r < 4; ++r) set(i0 + r, j, acc[r]);
-    }
-    for (std::size_t r = 1; r < 4; ++r)  // the block's own triangle
-      for (std::size_t c = i0 + 1; c <= i0 + r; ++c)
-        set(i0 + r, c, gram_partial(ti + r * n, t + c * n, i0 + r, n));
-  }
-  for (std::size_t i = i0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      set(i, j, gram_partial(t + i * n, t + j * n, i, n));
+#if KATO_LA_AVX2
+  if (isa == Isa::avx2) return gram_avx2(t_scratch, inv);
+#endif
+  gram_sse2(t_scratch, inv);
 }
 
 }  // namespace kato::la

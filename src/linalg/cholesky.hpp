@@ -8,6 +8,7 @@
 
 #include <optional>
 
+#include "linalg/isa.hpp"
 #include "linalg/matrix.hpp"
 
 namespace kato::la {
@@ -33,14 +34,22 @@ Vector solve_lower(const Matrix& l, const Vector& b);
 /// Solve L X = B for an n x m right-hand-side block in one forward sweep —
 /// the batched-prediction path shares this single triangular solve across
 /// all query columns instead of re-solving per candidate.  Tiled two rows
-/// by four query columns (see the order contract below).
-Matrix solve_lower_multi(const Matrix& l, const Matrix& b);
+/// by four query columns on SSE2, four rows by eight on AVX2 (see the order
+/// contract below).
+Matrix solve_lower_multi(const Matrix& l, const Matrix& b,
+                         Isa isa = active_isa());
 /// Solve L^T x = b (back substitution) with L lower triangular.
 Vector solve_lower_transposed(const Matrix& l, const Vector& b);
 /// Solve (L L^T) x = b.
 Vector cholesky_solve(const Matrix& l, const Vector& b);
-/// Inverse of (L L^T) formed explicitly (used for dL/dK in GP training).
+/// Inverse of (L L^T) formed explicitly, one forward and back solve per unit
+/// column, then symmetrized by averaging mirrored entries.
 Matrix cholesky_inverse(const Matrix& l);
+/// cholesky_inverse into caller buffers, with the same arithmetic bit for
+/// bit and no allocation once `inv` (n x n) and `tmp` (n) have their size.
+/// O(n^3) solves: for small factors, such as KAT-GP's per-point predictive
+/// covariance; cholesky_inverse_into below serves the GP-sized ones.
+void cholesky_inverse_small_into(const Matrix& l, Matrix& inv, Vector& tmp);
 /// log det(L L^T) = 2 * sum(log diag L).
 double cholesky_logdet(const Matrix& l);
 
@@ -57,7 +66,9 @@ double cholesky_logdet(const Matrix& l);
 // increasing k, and applies each as a separate multiply and add (no FMA).
 // A tile only changes which entries share registers and loads, never an
 // entry's own k order, so the outputs are bit-identical to the plain loops
-// (pinned byte for byte in tests/linalg_test.cpp).  Two seed details only
+// (pinned byte for byte in tests/linalg_test.cpp).  The same holds between
+// the SSE2 and AVX2 builds that `isa` selects (linalg/isa.hpp): only the
+// tile shapes differ.  Two seed details only
 // change the sign of an exact zero, and both are kept as they have always
 // been:
 //   - lower_inverse_transposed_into seeds even columns with -(l t) and odd
@@ -67,9 +78,11 @@ double cholesky_logdet(const Matrix& l);
 
 /// Factor a (+ jitter on the diagonal) into the caller's buffer `l`.
 /// Returns false when not numerically positive definite; `a` is unchanged.
-/// Blocked in 48-column panels: four rows at a time in the diagonal block,
-/// eight in the panel solve, 4 x 4 tiles in the trailing update.
-bool cholesky_into(const Matrix& a, Matrix& l, double jitter = 0.0);
+/// Blocked in 48-column panels: four rows at a time in the diagonal block;
+/// eight rows (SSE2) or sixteen (AVX2) in the panel solve; 4 x 4 (SSE2) or
+/// 4 x 8 (AVX2) tiles in the trailing update.
+bool cholesky_into(const Matrix& a, Matrix& l, double jitter = 0.0,
+                   Isa isa = active_isa());
 
 /// Jitter-ladder factorization into `l` (same ladder as cholesky_jittered).
 /// Returns the jitter applied; throws std::runtime_error when the matrix
@@ -82,12 +95,16 @@ void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
                          Vector& tmp);
 
 /// t = (L^{-1})^T, upper triangular, row-major (row r holds column r of
-/// L^{-1}).  Eight columns per sweep, two rows at a time.
-void lower_inverse_transposed_into(const Matrix& l, Matrix& t);
+/// L^{-1}).  Eight columns per sweep, two rows (SSE2) or four (AVX2) at a
+/// time.
+void lower_inverse_transposed_into(const Matrix& l, Matrix& t,
+                                   Isa isa = active_isa());
 
 /// inv = (L L^T)^{-1} via T = (L^{-1})^T and inv = T T^T restricted to the
-/// triangular support, in 4 x 4 tiles.  Exactly symmetric by construction.
+/// triangular support, in 4 x 4 (SSE2) or 4 x 8 (AVX2) tiles.  Exactly
+/// symmetric by construction.
 /// `t_scratch` is a caller-owned buffer.
-void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch);
+void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch,
+                           Isa isa = active_isa());
 
 }  // namespace kato::la

@@ -4,7 +4,74 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/lanes.hpp"
+
 namespace kato::la {
+
+namespace {
+
+constexpr std::size_t k_cb = k_contract_block;
+
+/// acc[r][j] = sum_k a[r * n + k] b[k * 8 + j] for the R rows at a, from 0.0
+/// in increasing k.  Each load of b feeds all R rows.
+template <class L, std::size_t R>
+KATO_LA_INLINE void contract_sweep(const double* a, std::size_t n,
+                                   const double* b, double (&acc)[R][k_cb]) {
+  using V = typename L::V;
+  constexpr std::size_t nv = k_cb / L::width;
+  V s[R][nv] = {};
+  for (std::size_t k = 0; k < n; ++k, b += k_cb) {
+    V t[nv];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < nv; ++v) t[v] = at<L>(b + v * L::width);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const double ar = a[r * n + k];
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < nv; ++v) s[r][v] += ar * t[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t v = 0; v < nv; ++v) at<L>(acc[r] + v * L::width) = s[r][v];
+}
+
+/// R rows of a per sweep, then single rows.
+template <class L, std::size_t R>
+KATO_LA_INLINE void contract_rows(const Matrix& a, const double* b,
+                                  std::size_t w, Matrix& out) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  const double* ap = a.data().data();
+  std::size_t i = 0;
+  for (; i + R <= m; i += R) {
+    double acc[R][k_cb];
+    contract_sweep<L, R>(ap + i * n, n, b, acc);
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t j = 0; j < w; ++j) out(j, i + r) = acc[r][j];
+  }
+  for (; i < m; ++i) {
+    double acc[1][k_cb];
+    contract_sweep<L, 1>(ap + i * n, n, b, acc);
+    for (std::size_t j = 0; j < w; ++j) out(j, i) = acc[0][j];
+  }
+}
+
+// One row per sweep on two lanes: the four accumulators already fill the
+// multiply/add ports.  Four lanes take three rows (six accumulators); one
+// row spills and two measured slower.
+void contract_sse2(const Matrix& a, const double* b, std::size_t w,
+                   Matrix& out) {
+  contract_rows<L2, 1>(a, b, w, out);
+}
+
+#if KATO_LA_AVX2
+KATO_LA_TARGET_AVX2 void contract_avx2(const Matrix& a, const double* b,
+                                       std::size_t w, Matrix& out) {
+  contract_rows<L4, 3>(a, b, w, out);
+}
+#endif
+
+}  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
@@ -143,6 +210,18 @@ Vector matvec(const Matrix& a, const Vector& x) {
   Vector y(a.rows(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) y[i] = dot(a.row(i), x);
   return y;
+}
+
+void contract_block(const Matrix& a, std::span<const double> b, std::size_t w,
+                    Matrix& out, Isa isa) {
+  if (b.size() != a.cols() * k_cb || w > k_cb)
+    throw std::invalid_argument("contract_block: dimension mismatch");
+  require_isa(isa, "contract_block");
+  if (out.rows() != k_cb || out.cols() != a.rows()) out = Matrix(k_cb, a.rows());
+#if KATO_LA_AVX2
+  if (isa == Isa::avx2) return contract_avx2(a, b.data(), w, out);
+#endif
+  contract_sse2(a, b.data(), w, out);
 }
 
 Vector matvec_t(const Matrix& a, const Vector& x) {

@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "linalg/isa.hpp"
+
 namespace kato::la {
 
 using Vector = std::vector<double>;
@@ -74,6 +76,18 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b);
 Vector matvec(const Matrix& a, const Vector& x);
 /// a^T * x.
 Vector matvec_t(const Matrix& a, const Vector& x);
+
+/// Columns of the block operand of contract_block.
+constexpr std::size_t k_contract_block = 8;
+
+/// a (m x n) times an n x 8 column block b stored by row (b[k * 8 + j]),
+/// written transposed: out(j, i) = sum_k a(i, k) b[k * 8 + j] for j < w.
+/// out is resized to 8 x m; its rows j >= w are left unspecified.  Each
+/// entry sums from 0.0 in increasing k with a separate multiply and add, so
+/// row j of out is bit-identical to matvec(a, column j of b).  The GP
+/// posterior's K^-1 k contraction: several rows of a share each load of b.
+void contract_block(const Matrix& a, std::span<const double> b, std::size_t w,
+                    Matrix& out, Isa isa = active_isa());
 
 /// Rank-one outer product x y^T.
 Matrix outer(const Vector& x, const Vector& y);

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "linalg/isa.hpp"
 #include "obs/journal.hpp"
 
 namespace kato::obs {
@@ -367,6 +368,9 @@ bool stats_enabled() { return registry()->sink.has_value(); }
 void stats_write_json(std::ostream& os) {
   Registry* r = registry();
   os << "{\n";
+  // Which build of the dense kernels ran (linalg/isa.hpp): results are the
+  // same under either, timings are not.
+  os << "  \"la_isa\": \"" << la::isa_name(la::active_isa()) << "\",\n";
   for (std::size_t i = 0; i < k_n_sim; ++i)
     os << "  \"" << k_sim_fields[i].name
        << "\": " << r->sim[i].load(std::memory_order_relaxed) << ",\n";

@@ -147,8 +147,13 @@ class Pool {
 }  // namespace
 
 std::size_t thread_cap() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max<std::size_t>(hw == 0 ? k_min_cap : hw, k_min_cap);
+  // hardware_concurrency() reads the CPU affinity mask (a system call, a few
+  // microseconds); the cap is read once per process.
+  static const std::size_t cap = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::max<std::size_t>(hw == 0 ? k_min_cap : hw, k_min_cap);
+  }();
+  return cap;
 }
 
 std::size_t thread_count() {
@@ -167,9 +172,11 @@ bool on_pool_thread() { return t_on_pool_thread; }
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  std::size_t workers = thread_count();
-  if (workers > n) workers = n;
-  if (workers <= 1 || n < 2 || t_on_pool_thread || t_parallel_depth > 0) {
+  // Nested calls run inline without reading KATO_THREADS.
+  const bool nested = t_on_pool_thread || t_parallel_depth > 0;
+  const std::size_t workers =
+      n < 2 || nested ? 1 : std::min(thread_count(), n);
+  if (workers <= 1) {
     fn(0, n);
     return;
   }

@@ -23,7 +23,7 @@ namespace kato::util {
 /// Upper bound for thread_count(): max(hardware_concurrency, 4).  The floor
 /// of 4 keeps deliberate oversubscription possible on small CI boxes, where
 /// the bit-identical-at-any-thread-count tests would otherwise silently
-/// degenerate to the sequential path.
+/// degenerate to the sequential path.  Computed once per process.
 std::size_t thread_cap();
 
 /// Worker count from KATO_THREADS, clamped to [1, thread_cap()].  Unset or

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -8,6 +9,8 @@
 #include "gp/kat_gp.hpp"
 #include "kernel/neuk.hpp"
 #include "kernel/stationary.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/isa.hpp"
 #include "nn/mlp.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
@@ -632,4 +635,50 @@ TEST(GaussianProcess, NeukFitPinnedAtTrainingCap) {
                     0x1.96c7130e07e66p+0, 0x1.96c7130e07e66p+0,
                     -0x1.9ceb4a4df0d91p-3,
                 });
+}
+
+// The K^-1 contraction under predict_std_kinv_rows (KAT-GP's source stage):
+// its AVX2 build against its SSE2 build, byte for byte, on an RBF posterior's
+// K^-1 with 1-8 queries per block, at sizes on both sides of the tiles' row
+// and lane edges.
+TEST(GaussianProcess, KinvContractionAvx2MatchesSse2Bytes) {
+  if (!la::isa_supported(la::Isa::avx2))
+    GTEST_SKIP() << "CPU without AVX2: the AVX2 build cannot run; the SSE2 "
+                    "build is checked against la::matvec in linalg_test";
+  const std::size_t sizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
+                               10, 11, 12, 13, 14, 15, 16, 17, 18,
+                               19, 20, 47, 48, 49, 192, 200, 256};
+  kato::util::Rng rng(81);
+  const auto kernel = rbf(3);
+  la::Matrix l;
+  la::Matrix kinv;
+  la::Matrix t;
+  la::Matrix out2;
+  la::Matrix out4;
+  for (const std::size_t n : sizes) {
+    la::Matrix x(n, 3);
+    for (auto& v : x.data()) v = rng.uniform();
+    la::Matrix k = kernel->matrix(x);
+    for (std::size_t i = 0; i < n; ++i) k(i, i) += 1e-2;
+    la::cholesky_jittered_into(k, l);
+    la::cholesky_inverse_into(l, kinv, t);
+    la::Matrix xq(la::k_contract_block, 3);
+    for (auto& v : xq.data()) v = rng.uniform();
+    const la::Matrix kx = kernel->cross(xq, x);
+    for (std::size_t w = 1; w <= la::k_contract_block; ++w) {
+      // The block as predict_std_kinv_rows lays it out: kx transposed, the
+      // lanes past w zero.
+      std::vector<double> tile(n * la::k_contract_block, 0.0);
+      for (std::size_t kk = 0; kk < n; ++kk)
+        for (std::size_t j = 0; j < w; ++j)
+          tile[kk * la::k_contract_block + j] = kx(j, kk);
+      la::contract_block(kinv, tile, w, out2, la::Isa::sse2);
+      la::contract_block(kinv, tile, w, out4, la::Isa::avx2);
+      for (std::size_t j = 0; j < w; ++j)
+        EXPECT_EQ(std::memcmp(out2.row(j).data(), out4.row(j).data(),
+                              n * sizeof(double)),
+                  0)
+            << "n=" << n << " w=" << w << " query " << j;
+    }
+  }
 }

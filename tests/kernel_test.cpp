@@ -99,6 +99,11 @@ void check_posterior_input_grad(const kern::Kernel& k, const la::Matrix& x2,
       EXPECT_EQ(dm[j], dm_ref[j]) << k.name() << " dim " << j;
       EXPECT_EQ(dv[j], dv_ref[j]) << k.name() << " dim " << j;
     }
+    // Mean-only mode: empty dvar and kinv_k.
+    la::Vector dm_only(d, 1.0);
+    k.posterior_input_grad(x, x2, kx.row(0), alpha, {}, dm_only, {});
+    for (std::size_t j = 0; j < d; ++j)
+      EXPECT_EQ(dm_only[j], dm_ref[j]) << k.name() << " mean-only dim " << j;
   }
 }
 
@@ -170,13 +175,16 @@ TEST_P(StationaryTest, InputGradientMatchesFiniteDifference) {
 
 TEST_P(StationaryTest, PosteriorInputGradEqualsInputGradContraction) {
   kato::util::Rng rng(24);
-  // 70 dims exceeds the on-stack ARD weight buffer: the heap fallback must
-  // give the same bits.
-  for (const std::size_t d : {3, 70}) {
-    kern::StationaryArd k(GetParam(), d);
-    for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
-    check_posterior_input_grad(k, random_points(9, d, rng), rng);
-  }
+  // The dims cover the register passes (two lanes and four, one or two
+  // registers per pass) and their scalar tails; 70 dims also exceeds the
+  // on-stack ARD weight buffer, whose heap fallback must give the same
+  // bits.  The row counts cross the 64-row coefficient chunks.
+  for (const std::size_t d : {1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 70})
+    for (const std::size_t n : {9, 64, 65, 130}) {
+      kern::StationaryArd k(GetParam(), d);
+      for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
+      check_posterior_input_grad(k, random_points(n, d, rng), rng);
+    }
 }
 
 TEST_P(StationaryTest, MatrixIsPsd) {

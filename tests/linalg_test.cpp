@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/isa.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
@@ -383,51 +384,206 @@ std::vector<la::Matrix> tile_test_matrices(std::size_t n) {
   return {dense, split};
 }
 
+/// The builds of the tiled kernels this CPU can run: SSE2 always, AVX2 when
+/// supported.
+std::vector<la::Isa> runnable_isas() {
+  std::vector<la::Isa> isas{la::Isa::sse2};
+  if (la::isa_supported(la::Isa::avx2)) isas.push_back(la::Isa::avx2);
+  return isas;
+}
+
+/// A right-hand side for the multi-solve tests.  Column j < 2: -0.0 on rows
+/// of parity 1 - j, negative on the others.  Against the split matrix those
+/// rows of the solution stay exact zeros whose sign depends on skipping the
+/// l(i, k) == 0 terms.
+la::Matrix solve_rhs(std::size_t n, std::size_t m) {
+  la::Matrix rhs = random_matrix(n, m, 400 + n * 31 + m);
+  for (std::size_t j = 0; j < std::min<std::size_t>(m, 2); ++j)
+    for (std::size_t i = 0; i < n; ++i)
+      rhs(i, j) = (i + j) % 2 == 1 ? -0.0 : -1.0 - std::abs(rhs(i, j));
+  return rhs;
+}
+
+const std::size_t k_solve_widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 24};
+
 }  // namespace
 
 TEST(TriangularTiles, CholeskyMatchesScalarReferenceBytes) {
-  for (const std::size_t n : k_tile_sizes)
-    for (const auto& a : tile_test_matrices(n)) {
-      la::Matrix ref;
-      la::Matrix l;
-      ASSERT_TRUE(ref_cholesky(a, ref));
-      ASSERT_TRUE(la::cholesky_into(a, l));
-      EXPECT_TRUE(same_bytes(l, ref)) << "n=" << n;
-    }
+  for (const la::Isa isa : runnable_isas())
+    for (const std::size_t n : k_tile_sizes)
+      for (const auto& a : tile_test_matrices(n)) {
+        la::Matrix ref;
+        la::Matrix l;
+        ASSERT_TRUE(ref_cholesky(a, ref));
+        ASSERT_TRUE(la::cholesky_into(a, l, 0.0, isa));
+        EXPECT_TRUE(same_bytes(l, ref)) << la::isa_name(isa) << " n=" << n;
+      }
 }
 
 TEST(TriangularTiles, InversesMatchScalarReferenceBytes) {
-  for (const std::size_t n : k_tile_sizes)
-    for (const auto& a : tile_test_matrices(n)) {
-      la::Matrix l;
-      ASSERT_TRUE(ref_cholesky(a, l));
-      la::Matrix t;
-      la::lower_inverse_transposed_into(l, t);
-      EXPECT_TRUE(same_bytes(t, ref_lower_inverse_transposed(l))) << "n=" << n;
-      la::Matrix inv;
-      la::Matrix scratch;
-      la::cholesky_inverse_into(l, inv, scratch);
-      EXPECT_TRUE(same_bytes(inv, ref_cholesky_inverse(l))) << "n=" << n;
-    }
+  for (const la::Isa isa : runnable_isas())
+    for (const std::size_t n : k_tile_sizes)
+      for (const auto& a : tile_test_matrices(n)) {
+        la::Matrix l;
+        ASSERT_TRUE(ref_cholesky(a, l));
+        la::Matrix t;
+        la::lower_inverse_transposed_into(l, t, isa);
+        EXPECT_TRUE(same_bytes(t, ref_lower_inverse_transposed(l)))
+            << la::isa_name(isa) << " n=" << n;
+        la::Matrix inv;
+        la::Matrix scratch;
+        la::cholesky_inverse_into(l, inv, scratch, isa);
+        EXPECT_TRUE(same_bytes(inv, ref_cholesky_inverse(l)))
+            << la::isa_name(isa) << " n=" << n;
+      }
 }
 
 TEST(TriangularTiles, MultiSolveMatchesScalarReferenceBytes) {
-  const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 24};
-  for (const std::size_t n : k_tile_sizes)
+  for (const la::Isa isa : runnable_isas())
+    for (const std::size_t n : k_tile_sizes)
+      for (const auto& a : tile_test_matrices(n)) {
+        la::Matrix l;
+        ASSERT_TRUE(ref_cholesky(a, l));
+        for (const std::size_t m : k_solve_widths) {
+          const la::Matrix rhs = solve_rhs(n, m);
+          EXPECT_TRUE(same_bytes(la::solve_lower_multi(l, rhs, isa),
+                                 ref_solve_lower_multi(l, rhs)))
+              << la::isa_name(isa) << " n=" << n << " m=" << m;
+        }
+      }
+}
+
+TEST(TriangularTiles, ContractMatchesMatvecBytes) {
+  la::Matrix out;
+  for (const la::Isa isa : runnable_isas())
+    for (const std::size_t n : k_tile_sizes)
+      for (const auto& a : tile_test_matrices(n)) {
+        const la::Matrix b = random_matrix(n, la::k_contract_block, 500 + n);
+        const std::size_t w = n % la::k_contract_block + 1;
+        la::contract_block(a, b.data(), w, out, isa);
+        for (std::size_t j = 0; j < w; ++j) {
+          la::Vector col(n);
+          for (std::size_t k = 0; k < n; ++k) col[k] = b(k, j);
+          const la::Vector ref = la::matvec(a, col);
+          EXPECT_EQ(std::memcmp(out.row(j).data(), ref.data(),
+                                n * sizeof(double)),
+                    0)
+              << la::isa_name(isa) << " n=" << n << " query " << j;
+        }
+      }
+}
+
+TEST(TriangularTiles, SmallInverseMatchesColumnSolves) {
+  // cholesky_inverse_small_into against the allocating per-column solves it
+  // replaced in KAT-GP: solve_lower, solve_lower_transposed, then the
+  // averaged mirror.
+  la::Matrix inv;
+  la::Vector tmp;
+  for (std::size_t n = 1; n <= 9; ++n)
     for (const auto& a : tile_test_matrices(n)) {
       la::Matrix l;
       ASSERT_TRUE(ref_cholesky(a, l));
-      for (const std::size_t m : widths) {
-        la::Matrix rhs = random_matrix(n, m, 400 + n * 31 + m);
-        // Column j < 2: -0.0 on rows of parity 1 - j, negative on the
-        // others.  Against the split matrix those rows of the solution stay
-        // exact zeros whose sign depends on skipping the l(i, k) == 0 terms.
-        for (std::size_t j = 0; j < std::min<std::size_t>(m, 2); ++j)
-          for (std::size_t i = 0; i < n; ++i)
-            rhs(i, j) = (i + j) % 2 == 1 ? -0.0 : -1.0 - std::abs(rhs(i, j));
-        EXPECT_TRUE(same_bytes(la::solve_lower_multi(l, rhs),
-                               ref_solve_lower_multi(l, rhs)))
+      la::Matrix ref(n, n);
+      for (std::size_t j = 0; j < n; ++j) {
+        la::Vector e(n, 0.0);
+        e[j] = 1.0;
+        const la::Vector col =
+            la::solve_lower_transposed(l, la::solve_lower(l, e));
+        for (std::size_t i = 0; i < n; ++i) ref(i, j) = col[i];
+      }
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j) {
+          const double avg = 0.5 * (ref(i, j) + ref(j, i));
+          ref(i, j) = avg;
+          ref(j, i) = avg;
+        }
+      la::cholesky_inverse_small_into(l, inv, tmp);
+      EXPECT_TRUE(same_bytes(inv, ref)) << "n=" << n;
+      EXPECT_TRUE(same_bytes(la::cholesky_inverse(l), ref)) << "n=" << n;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The AVX2 build of each tiled kernel against its SSE2 build, byte for byte,
+// at sizes that hit every tile and remainder edge of both (panels of 48, row
+// blocks of four, sweeps of eight columns, column tiles of two, four and
+// eight).  Skipped on a CPU without AVX2, where only the SSE2 build runs (and
+// is checked against the scalar references above).
+
+namespace {
+
+const std::size_t k_isa_sizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                                   11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+                                   47, 48, 49, 192, 200, 256};
+
+#define SKIP_WITHOUT_AVX2()                                         \
+  if (!la::isa_supported(la::Isa::avx2))                            \
+  GTEST_SKIP() << "CPU without AVX2: the AVX2 build cannot run; the " \
+                  "SSE2 build is checked by TriangularTiles.*"
+
+}  // namespace
+
+TEST(IsaTiles, CholeskyAvx2MatchesSse2Bytes) {
+  SKIP_WITHOUT_AVX2();
+  for (const std::size_t n : k_isa_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix l2;
+      la::Matrix l4;
+      ASSERT_TRUE(la::cholesky_into(a, l2, 0.0, la::Isa::sse2));
+      ASSERT_TRUE(la::cholesky_into(a, l4, 0.0, la::Isa::avx2));
+      EXPECT_TRUE(same_bytes(l2, l4)) << "n=" << n;
+    }
+}
+
+TEST(IsaTiles, InversesAvx2MatchSse2Bytes) {
+  SKIP_WITHOUT_AVX2();
+  for (const std::size_t n : k_isa_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix l;
+      ASSERT_TRUE(la::cholesky_into(a, l, 0.0, la::Isa::sse2));
+      la::Matrix t2;
+      la::Matrix t4;
+      la::lower_inverse_transposed_into(l, t2, la::Isa::sse2);
+      la::lower_inverse_transposed_into(l, t4, la::Isa::avx2);
+      EXPECT_TRUE(same_bytes(t2, t4)) << "n=" << n;
+      la::Matrix inv2;
+      la::Matrix inv4;
+      la::cholesky_inverse_into(l, inv2, t2, la::Isa::sse2);
+      la::cholesky_inverse_into(l, inv4, t4, la::Isa::avx2);
+      EXPECT_TRUE(same_bytes(inv2, inv4)) << "n=" << n;
+    }
+}
+
+TEST(IsaTiles, MultiSolveAvx2MatchesSse2Bytes) {
+  SKIP_WITHOUT_AVX2();
+  for (const std::size_t n : k_isa_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      la::Matrix l;
+      ASSERT_TRUE(la::cholesky_into(a, l, 0.0, la::Isa::sse2));
+      for (const std::size_t m : k_solve_widths) {
+        const la::Matrix rhs = solve_rhs(n, m);
+        EXPECT_TRUE(same_bytes(la::solve_lower_multi(l, rhs, la::Isa::sse2),
+                               la::solve_lower_multi(l, rhs, la::Isa::avx2)))
             << "n=" << n << " m=" << m;
+      }
+    }
+}
+
+TEST(IsaTiles, ContractAvx2MatchesSse2Bytes) {
+  SKIP_WITHOUT_AVX2();
+  la::Matrix out2;
+  la::Matrix out4;
+  for (const std::size_t n : k_isa_sizes)
+    for (const auto& a : tile_test_matrices(n)) {
+      const la::Matrix b = random_matrix(n, la::k_contract_block, 500 + n);
+      for (std::size_t w = 1; w <= la::k_contract_block; ++w) {
+        la::contract_block(a, b.data(), w, out2, la::Isa::sse2);
+        la::contract_block(a, b.data(), w, out4, la::Isa::avx2);
+        for (std::size_t j = 0; j < w; ++j)
+          EXPECT_EQ(std::memcmp(out2.row(j).data(), out4.row(j).data(),
+                                n * sizeof(double)),
+                    0)
+              << "n=" << n << " w=" << w << " query " << j;
       }
     }
 }

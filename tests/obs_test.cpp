@@ -20,6 +20,7 @@
 #include "circuits/factory.hpp"
 #include "gp/kat_gp.hpp"
 #include "kernel/stationary.hpp"
+#include "linalg/isa.hpp"
 #include "netlist/netlist_circuit.hpp"
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
@@ -221,6 +222,9 @@ TEST(ObsStats, RegistryAggregatesNetlistEvaluation) {
   const std::string s = json.str();
   EXPECT_NE(s.find("\"newton_iters\": "), std::string::npos);
   EXPECT_NE(s.find("\"gp_fits\": "), std::string::npos);
+  EXPECT_NE(s.find(std::string("\"la_isa\": \"") +
+                   la::isa_name(la::active_isa()) + "\""),
+            std::string::npos);
   EXPECT_EQ(s.front(), '{');
   obs::stats_reset();
   EXPECT_EQ(obs::stats_value("newton_iters"), 0u);
