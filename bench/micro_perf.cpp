@@ -453,11 +453,12 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Circuit evaluation.  dc_opamp2_eval runs the default (table) device
-  // path; the _analytic row re-runs it with KATO_DEVICE_TABLE=0 for the
-  // same-binary e2e A/B (the whole-candidate ratio is Amdahl-limited by the
-  // AC sweep and the LU solves — the device-kernel ratio itself is
-  // abl_mos_eval below).
+  // Circuit evaluation.  dc_opamp2_eval runs the built-in opamp2 on the
+  // default (table) device path; the _analytic row runs the opamp2.cir deck
+  // (bit-identical to the built-in class) on the analytic path for the e2e
+  // device A/B (the whole-candidate ratio is Amdahl-limited by the AC sweep
+  // and the LU solves — the device-kernel ratio itself is abl_mos_eval
+  // below).
   double dc_opamp2_ms = 0.0;
   double dc_opamp2_analytic_ms = 0.0;
   {
@@ -467,17 +468,16 @@ int main(int argc, char** argv) {
       const auto m = circuit->evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    const char* prev_table = std::getenv("KATO_DEVICE_TABLE");
-    const std::string saved_table = prev_table ? prev_table : "";
-    setenv("KATO_DEVICE_TABLE", "0", 1);
+    ckt::NetlistCircuit deck(
+        net::parse_netlist_file(std::string(KATO_SOURCE_DIR) +
+                                "/circuits/netlists/opamp2.cir"),
+        ckt::pdk_180nm());
+    deck.set_device_eval(sim::DeviceEval::analytic);
+    const auto xd = deck.expert_design();
     dc_opamp2_analytic_ms = bench("dc_opamp2_eval_analytic", [&] {
-      const auto m = circuit->evaluate(x);
+      const auto m = deck.evaluate(xd);
       sink(m ? (*m)[0] : 0.0);
     });
-    if (prev_table)
-      setenv("KATO_DEVICE_TABLE", saved_table.c_str(), 1);
-    else
-      unsetenv("KATO_DEVICE_TABLE");
     auto bandgap = ckt::make_circuit("bandgap", "180nm");
     const auto xb = bandgap->expert_design();
     bench("bandgap_eval", [&] {
@@ -678,20 +678,15 @@ int main(int argc, char** argv) {
       const auto m = circuit.evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    // e2e device-path A/B on the transient workload (KATO_DEVICE_TABLE,
-    // same binary) — Amdahl-limited by LU + timestep control, so this ratio
-    // is modest by design; the kernel ratio is device_table_speedup.
-    const char* prev_table = std::getenv("KATO_DEVICE_TABLE");
-    const std::string saved_table = prev_table ? prev_table : "";
-    setenv("KATO_DEVICE_TABLE", "0", 1);
+    // e2e device-path A/B on the transient workload (same binary) —
+    // Amdahl-limited by LU + timestep control, so this ratio is modest by
+    // design; the kernel ratio is device_table_speedup.
+    circuit.set_device_eval(sim::DeviceEval::analytic);
     tran_eval_analytic_ms = bench("abl_tran_eval_analytic", [&] {
       const auto m = circuit.evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    if (prev_table)
-      setenv("KATO_DEVICE_TABLE", saved_table.c_str(), 1);
-    else
-      unsetenv("KATO_DEVICE_TABLE");
+    circuit.set_device_eval(sim::DeviceEval::table);
 
     // Tracing overhead (abl_tran_eval_traced): the identical evaluation
     // with an active KATO_TRACE session — spans plus the per-timestep
@@ -950,7 +945,8 @@ int main(int argc, char** argv) {
   // Sparse MNA solver (abl_sparse): on the ~150-node ladder deck, compare
   // (a) the raw linear-solve kernel — dense in-place LU vs sparse numeric
   // refactorization with the recorded pivot sequence — and (b) the full
-  // transient candidate evaluation on both solve paths (KATO_SPARSE A/B).
+  // candidate's DC + transient analyses on both solve paths (the solver
+  // request fields).
   double sparse_lu_ms = 0.0;
   double sparse_lu_dense_ms = 0.0;
   double sparse_tran_ms = 0.0;
@@ -972,7 +968,7 @@ int main(int argc, char** argv) {
       xop[i] = op.node_voltage[i + 1];
     for (std::size_t k = 0; k < elab.circuit.vsources().size(); ++k)
       xop[elab.circuit.n_nodes() - 1 + k] = op.vsource_current[k];
-    sim::MnaAssembler assembler(elab.circuit, 1e-12, 300.0);
+    sim::MnaAssembler assembler(elab.circuit, sim::MnaOptions{});
     la::Matrix jac;
     la::Vector res;
     assembler.assemble(xop, jac, res);
@@ -1006,26 +1002,28 @@ int main(int argc, char** argv) {
               << "x (nnz " << pattern.nnz() << " -> lu " << lu.lu_nnz()
               << ", n " << size << ")\n";
 
-    // (b) Whole-candidate transient evaluation, sparse vs dense path.
-    const char* prev_sparse = std::getenv("KATO_SPARSE");
-    const std::string saved_sparse = prev_sparse ? prev_sparse : "";
-    setenv("KATO_SPARSE", "1", 1);
-    sparse_tran_ms = bench("abl_sparse_tran_eval", [&] {
-      const auto m = circuit.evaluate(x);
-      sink(m ? (*m)[0] : 0.0);
-    });
-    setenv("KATO_SPARSE", "0", 1);
+    // (b) The candidate's DC + transient analyses, sparse vs dense path.
+    const auto tran_on = [&](sim::MnaSolver solver) {
+      sim::DcOptions dc;
+      dc.temp = elab.temperature;
+      dc.solver = solver;
+      const auto op0 = sim::solve_dc(elab.circuit, dc);
+      sim::TranOptions topts;
+      topts.tstep = elab.tran.tstep;
+      topts.tstop = elab.tran.tstop;
+      topts.fixed_step = elab.tran.fixed_step;
+      topts.backward_euler = elab.tran.backward_euler;
+      topts.temp = elab.temperature;
+      topts.solver = solver;
+      topts.initial_conditions = elab.tran.ics;
+      const auto res = sim::solve_tran(elab.circuit, topts, &op0);
+      sink(res.ok ? res.node_voltage.back()[1] : 0.0);
+    };
+    sparse_tran_ms = bench("abl_sparse_tran_eval",
+                           [&] { tran_on(sim::MnaSolver::sparse); });
     sparse_tran_dense_ms = bench(
         "abl_sparse_tran_eval_dense",
-        [&] {
-          const auto m = circuit.evaluate(x);
-          sink(m ? (*m)[0] : 0.0);
-        },
-        600.0);
-    if (prev_sparse)
-      setenv("KATO_SPARSE", saved_sparse.c_str(), 1);
-    else
-      unsetenv("KATO_SPARSE");
+        [&] { tran_on(sim::MnaSolver::dense); }, 600.0);
     std::cout << "  -> sparse tran eval speedup: "
               << sparse_tran_dense_ms / sparse_tran_ms << "x\n";
 

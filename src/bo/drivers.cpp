@@ -9,6 +9,7 @@
 #include "obs/journal.hpp"
 #include "obs/obs.hpp"
 #include "rf/random_forest.hpp"
+#include "util/parallel.hpp"
 #include "util/sampling.hpp"
 
 namespace kato::bo {
@@ -200,7 +201,9 @@ class RunState {
         .uint("dim", circuit_.dim())
         .uint("n_metrics", circuit_.n_metrics())
         .uint("seed", seed)
-        .raw("config", config_json(config, transfer));
+        .raw("config", config_json(config, transfer))
+        .raw("env", obs::env_json())
+        .uint("threads", util::thread_count());
     obs::journal_write(o.take());
   }
 

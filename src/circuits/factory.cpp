@@ -1,10 +1,10 @@
 #include "circuits/factory.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
 #include "netlist/netlist_circuit.hpp"
+#include "util/env.hpp"
 
 namespace kato::ckt {
 
@@ -13,7 +13,7 @@ namespace {
 /// Resolve a "netlist:" deck path: as given, then under KATO_NETLIST_DIR.
 std::string resolve_deck_path(const std::string& path) {
   if (std::ifstream(path).good()) return path;
-  if (const char* dir = std::getenv("KATO_NETLIST_DIR")) {
+  if (const char* dir = util::env_get(util::Env::netlist_dir)) {
     const std::string joined = std::string(dir) + "/" + path;
     if (std::ifstream(joined).good()) return joined;
     throw std::invalid_argument("make_circuit: netlist deck '" + path +

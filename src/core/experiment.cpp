@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/journal.hpp"
+#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace kato::core {
 
 std::vector<std::uint64_t> seed_list(std::size_t fallback) {
-  std::size_t n = fallback;
-  if (const char* env = std::getenv("KATO_SEEDS")) {
-    // Strict full-string parse: trailing garbage ("4abc", "1e3") and
-    // non-positive values fall back rather than silently truncating, and a
-    // fat-fingered huge count is clamped instead of exploding the sweep.
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1)
-      n = static_cast<std::size_t>(std::min(v, 1024L));
-  }
+  const auto env = util::env_int(util::Env::seeds);
+  const std::size_t n = env ? static_cast<std::size_t>(*env) : fallback;
   std::vector<std::uint64_t> seeds(n);
   for (std::size_t i = 0; i < n; ++i) seeds[i] = i + 1;
   return seeds;

@@ -126,9 +126,8 @@ class NetlistCircuit final : public SizingCircuit {
   const net::Deck& deck() const { return deck_; }
 
   /// Device-model path for every DC/transient solve this circuit issues
-  /// (table vs analytic MOSFET evaluation; sim::DeviceEval::automatic
-  /// resolves to the table path, KATO_DEVICE_TABLE overrides).  Lets tests
-  /// and benches A/B the two paths without touching the environment.
+  /// (table vs analytic MOSFET evaluation; the table by default).  Lets
+  /// tests and benches A/B the two paths.
   void set_device_eval(sim::DeviceEval eval) { device_eval_ = eval; }
   sim::DeviceEval device_eval() const { return device_eval_; }
 
@@ -168,7 +167,7 @@ class NetlistCircuit final : public SizingCircuit {
   bool needs_ac_ = false;
   bool needs_tran_ = false;
 
-  sim::DeviceEval device_eval_ = sim::DeviceEval::automatic;
+  sim::DeviceEval device_eval_ = sim::DeviceEval::table;
   std::vector<CornerSetup> corners_;  ///< always >= 1 (nominal fallback)
   bool has_corner_cards_ = false;
   std::size_t mc_samples_ = 1;

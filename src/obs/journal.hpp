@@ -16,9 +16,10 @@
 //
 // Like the counters and histograms, journaling is value-free: emitters only
 // read optimizer state, so a seeded run is bit-identical with KATO_RUN_LOG
-// on vs. off (pinned by obs_test).  KATO_RUN_LOG follows the KATO_SEEDS
-// full-string discipline via sink_from_env: unset disables silently, a
-// set-but-unusable value disables with a one-line stderr warning.
+// on vs. off (pinned by obs_test).  KATO_RUN_LOG is read through the
+// environment table (util/env.hpp): unset disables silently, a
+// set-but-unusable value disables with a one-line stderr warning.  The
+// run_begin record carries every table variable and the worker count.
 
 #include <atomic>
 #include <cstdint>

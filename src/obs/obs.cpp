@@ -2,10 +2,10 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -13,6 +13,8 @@
 
 #include "linalg/isa.hpp"
 #include "obs/journal.hpp"
+#include "util/env.hpp"
+#include "util/parallel.hpp"
 
 namespace kato::obs {
 
@@ -311,19 +313,21 @@ void write_trace_json_locked(TraceState& s, std::size_t n_events) {
   *os << "}\n";
 }
 
-/// Startup/teardown hook: parses KATO_STATS/KATO_TRACE before main() runs
-/// (no other translation unit calls into obs during static initialization)
-/// and dumps at static destruction.  Function-local statics constructed
+/// Startup/teardown hook: reads KATO_STATS/KATO_TRACE/KATO_RUN_LOG before
+/// main() runs (no other translation unit calls into obs during static
+/// initialization) and dumps at static destruction.  Function-local statics constructed
 /// during main — the thread pool included — are destroyed before this, so
 /// worker buffers are flushed by the time the final trace is written.
 struct ObsBoot {
   ObsBoot() {
-    registry()->sink = sink_from_env("KATO_STATS");
-    if (auto path = sink_from_env("KATO_TRACE")) {
-      trace_begin(*path);
+    if (const char* path = util::env_get(util::Env::stats))
+      registry()->sink = path;
+    if (const char* path = util::env_get(util::Env::trace)) {
+      trace_begin(path);
       trace_state()->dump_at_exit = true;
     }
-    if (auto path = sink_from_env("KATO_RUN_LOG")) journal_begin(*path);
+    if (const char* path = util::env_get(util::Env::run_log))
+      journal_begin(path);
   }
   ~ObsBoot() {
     journal_end();  // no-op unless a session is open
@@ -363,14 +367,16 @@ void record_sim(const SimStats& s) {
   }
 }
 
-bool stats_enabled() { return registry()->sink.has_value(); }
-
 void stats_write_json(std::ostream& os) {
   Registry* r = registry();
   os << "{\n";
   // Which build of the dense kernels ran (linalg/isa.hpp): results are the
   // same under either, timings are not.
   os << "  \"la_isa\": \"" << la::isa_name(la::active_isa()) << "\",\n";
+  // Every setting that can change a result: the environment table and the
+  // worker count it resolves to.
+  os << "  \"env\": " << env_json() << ",\n";
+  os << "  \"threads\": " << util::thread_count() << ",\n";
   for (std::size_t i = 0; i < k_n_sim; ++i)
     os << "  \"" << k_sim_fields[i].name
        << "\": " << r->sim[i].load(std::memory_order_relaxed) << ",\n";
@@ -496,69 +502,29 @@ std::uint64_t HistSnapshot::quantile_ns(double q) const {
   return hist_bucket_lower_ns(k_hist_buckets - 1);
 }
 
-void expose_metrics(std::ostream& os) {
-  Registry* r = registry();
-  const auto counter = [&os](const char* name, std::uint64_t v) {
-    os << "# TYPE kato_" << name << "_total counter\n"
-       << "kato_" << name << "_total " << v << "\n";
-  };
-  for (std::size_t i = 0; i < k_n_sim; ++i)
-    counter(k_sim_fields[i].name, r->sim[i].load(std::memory_order_relaxed));
-  for (std::size_t i = 0; i < k_n_bo; ++i)
-    counter(k_bo_names[i], r->bo[i].load(std::memory_order_relaxed));
-  os << "# TYPE kato_stage_latency_seconds histogram\n";
-  char le[48];
-  for (std::size_t s = 0; s < k_n_stages; ++s) {
-    const HistSnapshot h = hist_snapshot(static_cast<Stage>(s));
-    const char* name = k_stage_names[s];
-    // Cumulative series over the occupied buckets only (sparse exposition
-    // is legal as long as `le` increases); `le` is each bucket's upper
-    // bound, i.e. the next bucket's lower bound, in seconds.
-    std::uint64_t cum = 0;
-    for (int b = 0; b < k_hist_buckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      cum += h.buckets[b];
-      if (b + 1 < k_hist_buckets) {
-        std::snprintf(le, sizeof(le), "%.9g",
-                      static_cast<double>(hist_bucket_lower_ns(b + 1)) / 1e9);
-        os << "kato_stage_latency_seconds_bucket{stage=\"" << name
-           << "\",le=\"" << le << "\"} " << cum << "\n";
-      }
+std::string env_json() {
+  JsonObj all;
+  const auto table = util::env_table();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const util::EnvVar& row = table[i];
+    const auto e = static_cast<util::Env>(i);
+    const char* set = util::env_get(e);
+    std::string value = "null";
+    if (row.kind == util::EnvKind::integer) {
+      if (const auto n = util::env_int(e))
+        value = std::to_string(*n);
+      else if (*row.def != '\0')
+        value = row.def;
+    } else if (row.kind == util::EnvKind::toggle) {
+      value = util::env_toggle(e) ? "true" : "false";
+    } else if (set != nullptr) {
+      value = '"' + json_escape(set) + '"';
     }
-    os << "kato_stage_latency_seconds_bucket{stage=\"" << name
-       << "\",le=\"+Inf\"} " << h.count << "\n";
-    std::snprintf(le, sizeof(le), "%.9g",
-                  static_cast<double>(h.sum_ns) / 1e9);
-    os << "kato_stage_latency_seconds_sum{stage=\"" << name << "\"} " << le
-       << "\n"
-       << "kato_stage_latency_seconds_count{stage=\"" << name << "\"} "
-       << h.count << "\n";
+    JsonObj one;
+    one.raw("value", value).boolean("from_env", set != nullptr);
+    all.raw(row.name, one.take());
   }
-}
-
-std::optional<std::string> parse_sink_path(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  const std::string s(value);
-  // Full-string discipline (KATO_SEEDS precedent): a path with leading or
-  // trailing whitespace is a shell-quoting accident, not a request — reject
-  // the whole value instead of trimming a guess out of it.
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  };
-  if (is_space(s.front()) || is_space(s.back())) return std::nullopt;
-  return s;
-}
-
-std::optional<std::string> sink_from_env(const char* var) {
-  const char* value = std::getenv(var);
-  if (value == nullptr) return std::nullopt;
-  auto parsed = parse_sink_path(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "%s: ignoring unusable path '%s' (empty or surrounded by "
-                 "whitespace); feature disabled\n",
-                 var, value);
-  return parsed;
+  return all.take();
 }
 
 // --- Tracer ----------------------------------------------------------------

@@ -28,16 +28,16 @@
 //   * Latency histograms — always-on log2-bucketed duration histograms per
 //     pipeline stage (dc/ac/tran/eval/gp_fit/acquisition/kat_fit), recorded
 //     by the KATO_OBS_STAGE scoped timer, summarized as exact
-//     bucket-quantiles in the KATO_STATS dump and as a Prometheus text
-//     snapshot via expose_metrics().  See the "Latency histograms" section below.
+//     bucket-quantiles in the KATO_STATS dump.  See the "Latency
+//     histograms" section below.
 //
 //   The run journal (KATO_RUN_LOG, per-BO-iteration JSONL) lives in the
 //   sibling header obs/journal.hpp.
 //
-// Both environment variables follow the KATO_SEEDS full-string discipline:
-// an unset variable disables the feature silently, a set-but-unusable value
-// (empty, or with leading/trailing whitespace) disables it with a one-line
-// stderr warning instead of guessing at a path.
+// Both environment variables are read through the environment table
+// (util/env.hpp): unset leaves the feature off silently, a set-but-unusable
+// value (empty, or with leading/trailing whitespace) leaves it off with a
+// one-line stderr warning instead of guessing at a path.
 //
 // Threading: per-thread trace buffers are appended without locks by their
 // owning thread and spliced into the shared store under a mutex when full,
@@ -51,7 +51,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 namespace kato::obs {
@@ -129,10 +128,6 @@ void bo_count(BoCounter c, std::uint64_t n = 1);
 /// Fold one evaluation's SimStats into the process registry (relaxed).
 void record_sim(const SimStats& s);
 
-/// True when KATO_STATS parsed to a usable sink (the registry always
-/// accumulates; this only says whether it will be dumped at exit).
-bool stats_enabled();
-
 /// Write the registry snapshot as one flat JSON object.
 void stats_write_json(std::ostream& os);
 
@@ -143,19 +138,12 @@ std::uint64_t stats_value(const char* name);
 /// Zero every registry counter (tests).
 void stats_reset();
 
-// --- Environment parsing ---------------------------------------------------
-
-/// Strict sink-path validation: nullptr (unset), empty, or any value with
-/// leading/trailing whitespace yields nullopt; everything else — including
-/// "-" for stdout — is returned verbatim.  Pure (no warning, no getenv);
-/// the env readers below layer the one-line stderr warning on top.
-std::optional<std::string> parse_sink_path(const char* value);
-
-/// Read environment variable `var` through parse_sink_path, warning once on
-/// stderr (and returning nullopt) when it is set but unusable.  Used for
-/// KATO_STATS/KATO_TRACE at startup; exposed so tests can pin the
-/// discipline with setenv/unsetenv like core_test pins KATO_SEEDS.
-std::optional<std::string> sink_from_env(const char* var);
+/// Every environment-table variable (util/env.hpp) as one JSON object:
+/// name -> {"value": resolved value, "from_env": bool}.  The value is the
+/// parsed setting (integers clamped), the row's default when the variable
+/// is unset or unusable, or null for an unset feature with no default.
+/// Written into the KATO_STATS dump and the journal's run_begin record.
+std::string env_json();
 
 // --- Tracer ----------------------------------------------------------------
 
@@ -307,7 +295,7 @@ enum class Stage : int {
 inline constexpr int k_hist_sub = 12;  ///< sub-buckets per octave (~6%)
 inline constexpr int k_hist_buckets = 64 * k_hist_sub;
 
-/// JSON/Prometheus label for one stage ("dc", "gp_fit", ...).
+/// JSON label for one stage ("dc", "gp_fit", ...).
 const char* stage_name(Stage s);
 
 /// Bucket index for a duration — exposed so tests can pin goldens by hand.
@@ -332,11 +320,6 @@ struct HistSnapshot {
 };
 
 HistSnapshot hist_snapshot(Stage s);
-
-/// Write every counter and stage histogram in Prometheus text exposition
-/// format (counters as kato_<name>_total, histograms as the cumulative
-/// kato_stage_latency_seconds series) — the future daemon's /metrics body.
-void expose_metrics(std::ostream& os);
 
 /// Scoped stage timer: records construction-to-destruction into the stage
 /// histogram.  Two clock reads against the ms-scale stages it wraps; always

@@ -30,15 +30,14 @@ struct DcOptions {
   /// this to bias the circuit at the waveform's t = 0 values.
   std::vector<double> vsource_override;
   /// Linear-solve path (dense vs sparse with symbolic reuse); `automatic`
-  /// switches on system size, KATO_SPARSE overrides for A/B runs.
+  /// switches on system size.
   MnaSolver solver = MnaSolver::automatic;
   /// Device-model path for the Newton loop (precomputed-table vs analytic
-  /// MOSFET evaluation); `automatic` resolves to the table path,
-  /// KATO_DEVICE_TABLE overrides for A/B runs.  The reported
-  /// DcResult::mosfet_op is always the analytic reference model evaluated
-  /// once at the converged operating point (it feeds the AC linearization
-  /// and carries the exact saturation flag).
-  DeviceEval device_eval = DeviceEval::automatic;
+  /// MOSFET evaluation).  The reported DcResult::mosfet_op is always the
+  /// analytic reference model evaluated once at the converged operating
+  /// point (it feeds the AC linearization and carries the exact saturation
+  /// flag).
+  DeviceEval device_eval = DeviceEval::table;
 };
 
 /// Per-rung accounting of the gmin continuation walk (diagnostics; the

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -12,18 +10,6 @@
 #include <utility>
 
 namespace kato::sim {
-
-DeviceEval resolve_device_eval(DeviceEval requested) {
-  if (const char* env = std::getenv("KATO_DEVICE_TABLE")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "analytic") == 0)
-      return DeviceEval::analytic;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "table") == 0)
-      return DeviceEval::table;
-    // Anything else ("", "auto") falls through to the request.
-  }
-  if (requested != DeviceEval::automatic) return requested;
-  return DeviceEval::table;
-}
 
 namespace {
 // Grid bounds in overdrive volts.  [-4, +4] covers every reachable bias of

@@ -42,11 +42,11 @@
 // Outside the grid ([-4 V, +4 V] of overdrive) the exact analytic
 // expressions take over, so clamping never degrades robustness.
 //
-// Routing mirrors the KATO_SPARSE precedent: MnaOptions::device_eval
-// requests a path, the KATO_DEVICE_TABLE environment variable ("0" /
-// "analytic", "1" / "table") overrides it for A/B runs, and `automatic`
-// resolves to the table path.  KATO_DEVICE_TABLE=0 is bit-identical to the
-// historical analytic behavior (pinned by tests).
+// Routing: MnaOptions::device_eval (and the DC / transient / netlist
+// request fields that feed it) picks the path, the table by default.  The
+// analytic path is bit-identical to the historical eval_mosfet behavior
+// (pinned by tests) and stays as the reference and as the transient
+// recovery ladder's fallback.
 
 #include <cstddef>
 #include <memory>
@@ -57,13 +57,7 @@
 namespace kato::sim {
 
 /// Device-model evaluation path for the MNA assembler.
-enum class DeviceEval { automatic, analytic, table };
-
-/// Resolve `requested`: the KATO_DEVICE_TABLE environment variable
-/// ("0"/"analytic", "1"/"table") wins, then an explicit request, then
-/// `automatic` picks the table path (the analytic path stays available as
-/// the pinned reference).
-DeviceEval resolve_device_eval(DeviceEval requested);
+enum class DeviceEval { analytic, table };
 
 /// Cap on a table's cell count.  300 K needs ~2k cells; the cap bounds one
 /// table at 16384 cells x 64 B = 1 MB.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "linalg/lu.hpp"
@@ -21,13 +19,6 @@ std::string fmt_double(double v) {
 }
 
 MnaSolver resolve_mna_solver(MnaSolver requested, std::size_t size) {
-  if (const char* env = std::getenv("KATO_SPARSE")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "dense") == 0)
-      return MnaSolver::dense;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "sparse") == 0)
-      return MnaSolver::sparse;
-    // Anything else ("", "auto") falls through to the request.
-  }
   if (requested != MnaSolver::automatic) return requested;
   return size >= k_mna_sparse_crossover ? MnaSolver::sparse : MnaSolver::dense;
 }
@@ -113,7 +104,7 @@ MnaAssembler::MnaAssembler(const Circuit& ckt, const MnaOptions& opts)
     : ckt_(ckt), gmin_(opts.gmin), temp_(opts.temp), n_(ckt.n_nodes() - 1),
       size_(ckt.mna_size()),
       solver_(resolve_mna_solver(opts.solver, ckt.mna_size())),
-      device_(resolve_device_eval(opts.device_eval)) {
+      device_(opts.device_eval) {
   diode_pre_.reserve(ckt_.diodes().size());
   const double vt = thermal_voltage(temp_);
   for (const auto& d : ckt_.diodes()) {
@@ -162,11 +153,6 @@ MnaAssembler::MnaAssembler(const Circuit& ckt, const MnaOptions& opts)
     }
   }
 }
-
-MnaAssembler::MnaAssembler(const Circuit& ckt, double gmin, double temp,
-                           MnaSolver solver)
-    : MnaAssembler(ckt, MnaOptions{gmin, temp, solver,
-                                   DeviceEval::automatic}) {}
 
 void MnaAssembler::ensure_dense_plan() const {
   if (dense_ready_) return;
@@ -352,10 +338,47 @@ bool MnaAssembler::assemble(const la::Vector& x, la::Matrix& jac,
   return assemble_values(x, jac.data().data(), res, dense_slots_);
 }
 
-bool MnaAssembler::newton_dense(la::Vector& x, const NewtonOptions& opts,
-                                std::string* reason) const {
-  la::Matrix& jac = jac_ws_;
+const char* MnaAssembler::newton_step(const la::Vector& x) const {
   la::Vector& res = res_ws_;
+  if (solver_ != MnaSolver::sparse) {
+    if (!assemble(x, jac_ws_, res))
+      return "non-finite device currents in the MNA residual";
+    for (auto& r : res) r = -r;
+    // In-place: jac/res are re-filled next iteration anyway.
+    if (!la::lu_solve_into(jac_ws_, res, step_ws_))
+      return "singular MNA Jacobian";
+    // The dense path factors from scratch every iteration; counting the
+    // first as "first factor" keeps the first/refactor split meaningful
+    // across both solver paths (an assembler uses exactly one).
+    ++(stats_.lu_first_factors == 0 ? stats_.lu_first_factors
+                                    : stats_.lu_refactors);
+    return nullptr;
+  }
+  std::fill(values_.begin(), values_.end(), 0.0);
+  if (!assemble_values(x, values_.data(), res, sparse_slots_))
+    return "non-finite device currents in the MNA residual";
+  for (auto& r : res) r = -r;
+  // First iteration of the assembler's life pivots and records the
+  // symbolic structure; every later call here — across iterations, gmin
+  // rungs and timesteps — is an in-place numeric refactorization.  A
+  // pivot-pass delta on a refactor means the recorded pivot order went
+  // stale and the factorization fell back to a fresh pivoting pass.
+  const bool first_factor = !lu_.factored();
+  const std::size_t pivots_before = lu_.pivot_passes();
+  if (!lu_.factor(values_)) return "singular MNA Jacobian";
+  if (first_factor) {
+    ++stats_.lu_first_factors;
+  } else {
+    ++stats_.lu_refactors;
+    stats_.lu_pivot_fallbacks += lu_.pivot_passes() - pivots_before;
+  }
+  lu_.solve(res, step_ws_);
+  return nullptr;
+}
+
+bool MnaAssembler::newton(la::Vector& x, const NewtonOptions& opts,
+                          std::string* reason) const {
+  if (solver_ == MnaSolver::sparse) ensure_sparse_plan();
   ++stats_.newton_solves;
   for (int it = 0; it < opts.max_iterations; ++it) {
     // Cooperative deadline poll, amortized: a clock read per sub-microsecond
@@ -367,80 +390,12 @@ bool MnaAssembler::newton_dense(la::Vector& x, const NewtonOptions& opts,
       return false;
     }
     ++stats_.newton_iters;
-    if (!assemble(x, jac, res)) {
-      if (reason) *reason = "non-finite device currents in the MNA residual";
+    if (const char* failure = newton_step(x)) {
+      if (reason) *reason = failure;
       return false;
     }
-    for (auto& r : res) r = -r;
-    // In-place: jac/res are re-filled next iteration anyway, so the
-    // historical pass-by-value copies bought nothing.
-    if (!la::lu_solve_into(jac, res, step_ws_)) {
-      if (reason) *reason = "singular MNA Jacobian";
-      return false;
-    }
-    // The dense path factors from scratch every iteration; counting the
-    // first as "first factor" keeps the first/refactor split meaningful
-    // across both solver paths (an assembler uses exactly one).
-    ++(stats_.lu_first_factors == 0 ? stats_.lu_first_factors
-                                    : stats_.lu_refactors);
-    double max_dv = 0.0;
-    bool clamped = false;
-    for (std::size_t i = 0; i < size_; ++i) {
-      double dv = step_ws_[i];
-      if (i < n_) {
-        const double raw = dv;
-        dv = std::clamp(dv, -opts.max_step, opts.max_step);
-        clamped |= dv != raw;
-      }
-      x[i] += dv;
-      if (i < n_) max_dv = std::max(max_dv, std::abs(dv));
-    }
-    if (clamped) ++stats_.damping_clamps;
-    if (max_dv < opts.v_tol) return true;
-  }
-  if (reason)
-    *reason = "Newton did not converge in " +
-              std::to_string(opts.max_iterations) + " iterations";
-  return false;
-}
-
-bool MnaAssembler::newton_sparse(la::Vector& x, const NewtonOptions& opts,
-                                 std::string* reason) const {
-  ensure_sparse_plan();
-  la::Vector& res = res_ws_;
-  ++stats_.newton_solves;
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    if ((it & 15) == 15 && util::deadline_exceeded()) {
-      if (reason) *reason = "deadline exceeded (KATO_EVAL_DEADLINE_MS)";
-      return false;
-    }
-    ++stats_.newton_iters;
-    std::fill(values_.begin(), values_.end(), 0.0);
-    if (!assemble_values(x, values_.data(), res, sparse_slots_)) {
-      if (reason) *reason = "non-finite device currents in the MNA residual";
-      return false;
-    }
-    for (auto& r : res) r = -r;
-    // First iteration of the assembler's life pivots and records the
-    // symbolic structure; every later call here — across iterations, gmin
-    // rungs and timesteps — is an in-place numeric refactorization.  A
-    // pivot-pass delta on a refactor means the recorded pivot order went
-    // stale and the factorization fell back to a fresh pivoting pass.
-    const bool first_factor = !lu_.factored();
-    const std::size_t pivots_before = lu_.pivot_passes();
-    if (!lu_.factor(values_)) {
-      if (reason) *reason = "singular MNA Jacobian";
-      return false;
-    }
-    if (first_factor) {
-      ++stats_.lu_first_factors;
-    } else {
-      ++stats_.lu_refactors;
-      stats_.lu_pivot_fallbacks += lu_.pivot_passes() - pivots_before;
-    }
-    lu_.solve(res, step_ws_);
-    // Match the dense path's contract: a non-finite step leaves x untouched
-    // (the dense LU reports those as singular before applying anything).
+    // A non-finite step leaves x untouched (the dense LU already reports
+    // those as singular; the sparse solve does not check).
     for (double dv : step_ws_)
       if (!std::isfinite(dv)) {
         if (reason) *reason = "singular MNA Jacobian";
@@ -465,12 +420,6 @@ bool MnaAssembler::newton_sparse(la::Vector& x, const NewtonOptions& opts,
     *reason = "Newton did not converge in " +
               std::to_string(opts.max_iterations) + " iterations";
   return false;
-}
-
-bool MnaAssembler::newton(la::Vector& x, const NewtonOptions& opts,
-                          std::string* reason) const {
-  return solver_ == MnaSolver::sparse ? newton_sparse(x, opts, reason)
-                                      : newton_dense(x, opts, reason);
 }
 
 }  // namespace kato::sim

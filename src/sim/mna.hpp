@@ -28,13 +28,12 @@
 //            transient timesteps an assembler lives through.
 //
 // MnaSolver::automatic switches on system size (k_mna_sparse_crossover);
-// the KATO_SPARSE environment variable (0/dense, 1/sparse) overrides both
-// for A/B comparisons.
+// an explicit MnaOptions::solver request forces one path.
 //
-// Device evaluation routes the same way (MnaOptions::device_eval /
-// KATO_DEVICE_TABLE): the per-device temperature/geometry terms are hoisted
-// once into structure-of-arrays state at construction, and the per-Newton
-// MOSFET loop either runs the analytic model from that state
+// Device evaluation is requested per assembler (MnaOptions::device_eval,
+// the table path by default): the per-device temperature/geometry terms are
+// hoisted once into structure-of-arrays state at construction, and the
+// per-Newton MOSFET loop either runs the analytic model from that state
 // (bit-identical to the historical per-call eval_mosfet path) or the
 // precomputed-table model (sim/device_table.hpp), writing straight into
 // the resolved stamp slots either way.
@@ -73,9 +72,8 @@ enum class MnaSolver { automatic, dense, sparse };
 /// bench/micro_perf abl_sparse_lu).
 inline constexpr std::size_t k_mna_sparse_crossover = 48;
 
-/// Resolve `requested` for a system of `size` unknowns: the KATO_SPARSE
-/// environment variable ("0"/"dense", "1"/"sparse") wins, then an explicit
-/// request, then the automatic size crossover.
+/// Resolve `requested` for a system of `size` unknowns: an explicit request
+/// wins, `automatic` takes the size crossover.
 MnaSolver resolve_mna_solver(MnaSolver requested, std::size_t size);
 
 /// Newton-iteration knobs shared by DC and transient (see DcOptions for the
@@ -92,17 +90,13 @@ struct MnaOptions {
   double gmin = 1e-12;
   double temp = 300.0;  ///< simulation temperature [K]
   MnaSolver solver = MnaSolver::automatic;
-  /// Device-model path; KATO_DEVICE_TABLE overrides (see
-  /// resolve_device_eval).
-  DeviceEval device_eval = DeviceEval::automatic;
+  /// Device-model path (sim/device_table.hpp).
+  DeviceEval device_eval = DeviceEval::table;
 };
 
 class MnaAssembler {
  public:
   MnaAssembler(const Circuit& ckt, const MnaOptions& opts);
-  /// Historical signature; device_eval defaults to automatic.
-  MnaAssembler(const Circuit& ckt, double gmin, double temp,
-               MnaSolver solver = MnaSolver::automatic);
 
   /// Change the gmin continuation value.  Cheap: the stamp plan and the
   /// symbolic factorization survive (only values change), which is what
@@ -165,10 +159,11 @@ class MnaAssembler {
   /// false on non-finite residual entries.
   bool assemble_values(const la::Vector& x, double* vals, la::Vector& res,
                        const std::vector<std::size_t>& slots) const;
-  bool newton_dense(la::Vector& x, const NewtonOptions& opts,
-                    std::string* reason) const;
-  bool newton_sparse(la::Vector& x, const NewtonOptions& opts,
-                     std::string* reason) const;
+  /// One Newton linear solve on the resolved path: assembles at x into
+  /// the path's workspace, negates the residual and solves the Jacobian
+  /// into step_ws_, counting the factorization.  Returns the failure
+  /// reason, or nullptr on success.
+  const char* newton_step(const la::Vector& x) const;
 
   const Circuit& ckt_;
   double gmin_;

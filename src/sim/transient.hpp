@@ -46,9 +46,8 @@ struct TranOptions {
   MnaSolver solver = MnaSolver::automatic;
   /// Device-model path for every timestep's Newton loop (and the internal
   /// t = 0 solve): precomputed-table vs analytic MOSFET evaluation, with
-  /// the (subthreshold_n, temp)-keyed tables shared across all timesteps;
-  /// KATO_DEVICE_TABLE overrides for A/B runs.
-  DeviceEval device_eval = DeviceEval::automatic;
+  /// the (subthreshold_n, temp)-keyed tables shared across all timesteps.
+  DeviceEval device_eval = DeviceEval::table;
   NewtonOptions newton{50, 1e-9, 0.5};  ///< per-timestep Newton knobs
   DcOptions dc;  ///< options for the internal t = 0 operating-point solve
   /// Initial-condition overrides (node -> volts), applied after the t = 0

@@ -3,13 +3,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace kato::util {
 
@@ -45,22 +44,16 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Same tolerant boolean as resolve_mna_solver's KATO_SPARSE: only an
-/// explicit "0"/"off"/"false" (case-sensitive, full string) disables.
-bool parse_toggle_off(const char* v) {
-  return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-         std::strcmp(v, "false") == 0;
-}
-
-/// Startup hook mirroring obs::ObsBoot: parses KATO_FAULT /
+/// Startup hook mirroring obs::ObsBoot: reads KATO_FAULT /
 /// KATO_EVAL_DEADLINE_MS / KATO_RECOVERY before main() so the hot-path
 /// checks never need a once-flag.
 struct FaultBoot {
   FaultBoot() {
-    set_fault(fault_from_env());
-    if (auto ms = deadline_ms_from_env()) set_eval_deadline_ms(*ms);
-    if (const char* v = std::getenv("KATO_RECOVERY"))
-      if (parse_toggle_off(v)) set_recovery_enabled(false);
+    if (const char* spec = env_get(Env::fault))
+      set_fault(parse_fault_spec(spec));
+    if (auto ms = env_int(Env::eval_deadline_ms))
+      set_eval_deadline_ms(static_cast<std::uint64_t>(*ms));
+    set_recovery_enabled(env_toggle(Env::recovery));
   }
 };
 FaultBoot g_fault_boot;
@@ -107,19 +100,6 @@ std::optional<FaultSpec> parse_fault_spec(const char* value) {
   return spec;
 }
 
-std::optional<FaultSpec> fault_from_env() {
-  const char* value = std::getenv("KATO_FAULT");
-  if (value == nullptr) return std::nullopt;
-  auto parsed = parse_fault_spec(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "KATO_FAULT: ignoring unusable spec '%s' (want "
-                 "<stage>:<kind>:<rate>:<seed>, rate in (0,1]); "
-                 "feature disabled\n",
-                 value);
-  return parsed;
-}
-
 void set_fault(const std::optional<FaultSpec>& spec) {
   g_fault_draws.store(0, std::memory_order_relaxed);
   if (!spec) {
@@ -155,45 +135,12 @@ bool fault_fires(FaultSite site) {
   return fire;
 }
 
-const char* fault_site_name(FaultSite site) {
-  const auto i = static_cast<std::size_t>(site);
-  if (i >= static_cast<std::size_t>(FaultSite::count_)) return "?";
-  return k_site_names[i];
-}
-
 bool recovery_enabled() {
   return g_recovery.load(std::memory_order_relaxed);
 }
 
 void set_recovery_enabled(bool on) {
   g_recovery.store(on, std::memory_order_relaxed);
-}
-
-std::optional<std::uint64_t> parse_deadline_ms(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  const std::string s(value);
-  for (char c : s)  // strtoull skips leading whitespace; we must not
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return std::nullopt;
-  if (s.front() == '-' || s.front() == '+') return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t ms = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  if (ms == 0) return std::nullopt;  // "0" is a mistake, not "no deadline"
-  return ms;
-}
-
-std::optional<std::uint64_t> deadline_ms_from_env() {
-  const char* value = std::getenv("KATO_EVAL_DEADLINE_MS");
-  if (value == nullptr) return std::nullopt;
-  auto parsed = parse_deadline_ms(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "KATO_EVAL_DEADLINE_MS: ignoring unusable value '%s' "
-                 "(want a positive integer millisecond budget); "
-                 "feature disabled\n",
-                 value);
-  return parsed;
 }
 
 std::uint64_t eval_deadline_ms() {

@@ -1,8 +1,8 @@
 #pragma once
 
 // Fault injection, per-candidate evaluation deadlines, and the recovery
-// toggle.  Three independent knobs, all parsed once at startup with the
-// same strict full-string discipline as KATO_SEEDS / KATO_TRACE:
+// toggle.  Three independent knobs, read once at startup through the
+// environment table (util/env.hpp):
 //
 //   KATO_FAULT=<stage>:<kind>:<rate>:<seed>
 //       Arms exactly one deterministic fault site (e.g. "dc:singular" or
@@ -18,8 +18,8 @@
 //       guard; the Newton and timestep loops poll deadline_exceeded()
 //       cooperatively.  Off (the default) costs one thread-local load.
 //
-//   KATO_RECOVERY=0|off
-//       Disables the recovery ladders (DC homotopy / pseudo-transient,
+//   KATO_RECOVERY=0|off|false|1|on|true
+//       Off disables the recovery ladders (DC homotopy / pseudo-transient,
 //       transient step-floor + device-eval fallback) so tests and bit-
 //       identity checks can pin the pre-recovery failure behaviour.
 //
@@ -57,10 +57,6 @@ struct FaultSpec {
 /// Returns nullopt on any deviation — no trimming, no partial parses.
 std::optional<FaultSpec> parse_fault_spec(const char* value);
 
-/// Reads KATO_FAULT; warns once on stderr (sink_from_env wording) and
-/// returns nullopt when the value is set but unusable.
-std::optional<FaultSpec> fault_from_env();
-
 /// Installs (or clears, with nullopt) the process-wide fault, resetting the
 /// draw counter so schedules restart from index 0.  Test hook; startup
 /// installs the env-derived spec before main().
@@ -76,24 +72,14 @@ bool fault_fires(FaultSite site);
 /// indices fire for a given spec.
 double fault_uniform(std::uint64_t seed, std::uint64_t index);
 
-/// Env-var spelling ("dc:singular") for messages and tests.
-const char* fault_site_name(FaultSite site);
-
 // --- Recovery toggle -------------------------------------------------------
 
-/// True unless KATO_RECOVERY disabled the ladders ("0"/"off"/"false", the
-/// KATO_SPARSE tolerant-parse precedent).
+/// True unless KATO_RECOVERY (or set_recovery_enabled) turned the ladders
+/// off.
 bool recovery_enabled();
 void set_recovery_enabled(bool on);
 
 // --- Evaluation deadlines --------------------------------------------------
-
-/// Strict full-string parse of a positive integer millisecond budget.
-/// "0", negatives, trailing junk, and whitespace all return nullopt.
-std::optional<std::uint64_t> parse_deadline_ms(const char* value);
-
-/// Reads KATO_EVAL_DEADLINE_MS with the same warn-once discipline.
-std::optional<std::uint64_t> deadline_ms_from_env();
 
 /// Process-wide per-candidate budget in ms; 0 means no deadline.
 std::uint64_t eval_deadline_ms();

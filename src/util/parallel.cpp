@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace kato::util {
 
@@ -157,14 +157,8 @@ std::size_t thread_cap() {
 }
 
 std::size_t thread_count() {
-  const char* env = std::getenv("KATO_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return 1;  // trailing garbage: reject
-  if (parsed < 1) return 1;
-  const std::size_t cap = thread_cap();
-  return std::min(static_cast<std::size_t>(parsed), cap);
+  const auto n = env_int(Env::threads);
+  return n ? std::min(static_cast<std::size_t>(*n), thread_cap()) : 1;
 }
 
 bool on_pool_thread() { return t_on_pool_thread; }

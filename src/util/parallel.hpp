@@ -26,10 +26,10 @@ namespace kato::util {
 /// degenerate to the sequential path.  Computed once per process.
 std::size_t thread_cap();
 
-/// Worker count from KATO_THREADS, clamped to [1, thread_cap()].  Unset or
-/// empty means 1 (sequential).  Garbage is rejected, not best-effort parsed:
-/// any non-numeric trailing characters, negative or zero values fall back to
-/// 1.  Read on every call so tests can flip the knob with setenv().
+/// Worker count from KATO_THREADS (util/env.hpp), clamped to
+/// [1, thread_cap()].  Unset means 1 (sequential); an unusable value also
+/// means 1, with one stderr warning.  Read on every call so tests can flip
+/// the knob with setenv().
 std::size_t thread_count();
 
 /// True when the calling thread is a pool worker (used to run nested

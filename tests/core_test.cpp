@@ -27,8 +27,8 @@ TEST(SeedList, RejectsMalformedAndClampsHugeCounts) {
   EXPECT_EQ(core::seed_list(3).size(), 3u);
   setenv("KATO_SEEDS", "1e3", 1);
   EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", " 7", 1);  // leading whitespace is strtol-legal
-  EXPECT_EQ(core::seed_list(3).size(), 7u);
+  setenv("KATO_SEEDS", " 7", 1);  // leading whitespace: rejected too
+  EXPECT_EQ(core::seed_list(3).size(), 3u);
   setenv("KATO_SEEDS", "7 ", 1);  // trailing whitespace is not
   EXPECT_EQ(core::seed_list(3).size(), 3u);
   setenv("KATO_SEEDS", "0", 1);

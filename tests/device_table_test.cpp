@@ -2,11 +2,11 @@
 //
 //   * bit-identity of the hoisted analytic path (MosPre + eval_mosfet_pre,
 //     and the assembler's SoA stamp loop) against the pinned eval_mosfet
-//     reference — this is the KATO_DEVICE_TABLE=0 "bit-identical to the
+//     reference — this is the analytic path's "bit-identical to the
 //     historical behavior" guarantee;
 //   * table-vs-analytic accuracy: ids/gm/gds within 1e-4 relative over a
 //     dense bias sweep on both PDK nodes at every deck temperature;
-//   * KATO_DEVICE_TABLE env routing and the process-wide table cache;
+//   * the default device path and the process-wide table cache;
 //   * end-to-end SizingCircuit::evaluate agreement between the two paths on
 //     the shipped decks;
 //   * seeded 5-iteration BO reproducibility per path (DeviceTableBo suite —
@@ -16,7 +16,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
 #include "sim/mosfet.hpp"
+#include "sim/transient.hpp"
 
 namespace sim = kato::sim;
 namespace ckt = kato::ckt;
@@ -45,27 +45,6 @@ namespace {
 std::string deck_path(const std::string& name) {
   return std::string(KATO_SOURCE_DIR) + "/circuits/netlists/" + name;
 }
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 /// The model set the accuracy/bit-identity sweeps cover: both PDK nodes,
 /// both polarities, plus MC-mismatch-style perturbed variants (vth0 shift,
@@ -95,47 +74,23 @@ const double k_deck_temps[] = {253.0, 273.0, 300.0, 323.0, 348.0, 373.0};
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// KATO_DEVICE_TABLE routing (mirrors the KATO_SPARSE contract).
+// Routing: every request field defaults to the table path.
 
-TEST(DeviceEvalResolve, AutomaticPicksTableAndEnvOverrides) {
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "");
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::automatic),
-              sim::DeviceEval::table);
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::analytic),
-              sim::DeviceEval::analytic);
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::table),
-              sim::DeviceEval::table);
-  }
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "0");
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::automatic),
-              sim::DeviceEval::analytic);
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::table),
-              sim::DeviceEval::analytic);
-  }
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "analytic");
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::automatic),
-              sim::DeviceEval::analytic);
-  }
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "1");
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::analytic),
-              sim::DeviceEval::table);
-  }
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "table");
-    EXPECT_EQ(sim::resolve_device_eval(sim::DeviceEval::analytic),
-              sim::DeviceEval::table);
-  }
+TEST(DeviceEvalDefault, RequestFieldsDefaultToTable) {
+  EXPECT_EQ(sim::MnaOptions{}.device_eval, sim::DeviceEval::table);
+  EXPECT_EQ(sim::DcOptions{}.device_eval, sim::DeviceEval::table);
+  EXPECT_EQ(sim::TranOptions{}.device_eval, sim::DeviceEval::table);
+  sim::Circuit c;
+  c.add_resistor(c.new_node("a"), sim::Circuit::ground, 1e3);
+  EXPECT_EQ(sim::MnaAssembler(c, sim::MnaOptions{}).device_eval(),
+            sim::DeviceEval::table);
 }
 
 // ---------------------------------------------------------------------------
 // Bit-identity of the hoisted analytic path: eval_mosfet_pre must reproduce
 // the pinned eval_mosfet reference exactly (same bits), for every polarity,
 // temperature, geometry and bias quadrant.  This is what makes
-// KATO_DEVICE_TABLE=0 equal to the pre-table behavior.
+// DeviceEval::analytic equal to the pre-table behavior.
 
 TEST(MosPreAnalytic, BitIdenticalToEvalMosfet) {
   for (const auto& m : sweep_models()) {
@@ -388,23 +343,19 @@ TEST(DeviceTableEndToEnd, LadderMetricsAgree) {
   expect_paths_agree("ladder.cir", 1e-2);
 }
 
-// Env routing reaches the solvers through the default `automatic` request.
-TEST(DeviceTableEndToEnd, EnvSelectsPathLikeExplicitRequest) {
+// A fresh circuit runs the table path, bit for bit the explicit request.
+TEST(DeviceTableEndToEnd, DefaultPathIsExplicitTableRequest) {
   ckt::NetlistCircuit circuit(
       net::parse_netlist_file(deck_path("opamp2.cir")), ckt::pdk_180nm());
   const auto x = circuit.expert_design();
-  circuit.set_device_eval(sim::DeviceEval::analytic);
-  const auto analytic = circuit.evaluate(x);
-  circuit.set_device_eval(sim::DeviceEval::automatic);
-  std::optional<std::vector<double>> via_env;
-  {
-    ScopedEnv env("KATO_DEVICE_TABLE", "0");
-    via_env = circuit.evaluate(x);
-  }
-  ASSERT_TRUE(analytic.has_value());
-  ASSERT_TRUE(via_env.has_value());
-  for (std::size_t i = 0; i < analytic->size(); ++i)
-    EXPECT_EQ((*via_env)[i], (*analytic)[i]) << "metric " << i;
+  EXPECT_EQ(circuit.device_eval(), sim::DeviceEval::table);
+  const auto by_default = circuit.evaluate(x);
+  circuit.set_device_eval(sim::DeviceEval::table);
+  const auto requested = circuit.evaluate(x);
+  ASSERT_TRUE(by_default.has_value());
+  ASSERT_TRUE(requested.has_value());
+  for (std::size_t i = 0; i < requested->size(); ++i)
+    EXPECT_EQ((*by_default)[i], (*requested)[i]) << "metric " << i;
 }
 
 // ---------------------------------------------------------------------------

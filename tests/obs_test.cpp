@@ -1,4 +1,4 @@
-// Observability subsystem: KATO_STATS/KATO_TRACE env parsing discipline,
+// Observability subsystem: the environment record in the artifacts,
 // counter goldens hand-countable on small circuits, trace-file schema,
 // concurrent flush integrity under KATO_THREADS, the stats registry, and
 // (ObsBo suite — labelled slow in CTest) bit-identity of a seeded BO run
@@ -26,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "sim/dc.hpp"
 #include "sim/transient.hpp"
+#include "util/env.hpp"
 
 namespace obs = kato::obs;
 namespace sim = kato::sim;
@@ -34,6 +35,7 @@ namespace bo = kato::bo;
 namespace gp = kato::gp;
 namespace kern = kato::kern;
 namespace la = kato::la;
+namespace util = kato::util;
 
 #ifndef KATO_SOURCE_DIR
 #define KATO_SOURCE_DIR "."
@@ -70,41 +72,36 @@ sim::Circuit divider() {
   return c;
 }
 
-// --- Env parsing -----------------------------------------------------------
+// --- Environment record ----------------------------------------------------
 
-TEST(ObsEnv, ParseSinkPathFullStringDiscipline) {
-  EXPECT_FALSE(obs::parse_sink_path(nullptr).has_value());
-  EXPECT_FALSE(obs::parse_sink_path("").has_value());
-  EXPECT_FALSE(obs::parse_sink_path(" /tmp/t.json").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("/tmp/t.json ").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("\t/tmp/t.json").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("/tmp/t.json\n").has_value());
-  EXPECT_FALSE(obs::parse_sink_path(" ").has_value());
-  ASSERT_TRUE(obs::parse_sink_path("-").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("-"), "-");
-  ASSERT_TRUE(obs::parse_sink_path("/tmp/t.json").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("/tmp/t.json"), "/tmp/t.json");
-  // Interior spaces are legal path characters; only the edges are policed.
-  ASSERT_TRUE(obs::parse_sink_path("out dir/t.json").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("out dir/t.json"), "out dir/t.json");
-}
+TEST(ObsEnv, ArtifactsRecordEveryEnvVariable) {
+  // Parsing itself is pinned by util_test's EnvTable; here: the artifacts
+  // carry one resolved entry per table row, plus the worker count.
+  const char* prev = std::getenv("KATO_THREADS");
+  const std::string saved = prev ? prev : "";
+  setenv("KATO_THREADS", "3", 1);
+  unsetenv("KATO_SEEDS");
+  const std::string env = obs::env_json();
+  for (const auto& row : util::env_table())
+    EXPECT_NE(env.find(std::string("\"") + row.name + "\":{\"value\":"),
+              std::string::npos)
+        << row.name;
+  EXPECT_NE(env.find("\"KATO_THREADS\":{\"value\":3,\"from_env\":true}"),
+            std::string::npos)
+      << env;
+  EXPECT_NE(env.find("\"KATO_SEEDS\":{\"value\":null,\"from_env\":false}"),
+            std::string::npos)
+      << env;
 
-TEST(ObsEnv, SinkFromEnvMirrorsSeedListDiscipline) {
-  unsetenv("KATO_STATS");
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", " stats.json", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "stats.json ", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "-", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_STATS").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_STATS"), "-");
-  setenv("KATO_STATS", "stats.json", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_STATS").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_STATS"), "stats.json");
-  unsetenv("KATO_STATS");
+  std::ostringstream json;
+  obs::stats_write_json(json);
+  const std::string s = json.str();
+  EXPECT_NE(s.find("\"env\": " + env + ",\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"threads\": 3,\n"), std::string::npos) << s;
+  if (prev)
+    setenv("KATO_THREADS", saved.c_str(), 1);
+  else
+    unsetenv("KATO_THREADS");
 }
 
 // --- Counter goldens -------------------------------------------------------
@@ -622,64 +619,6 @@ TEST(ObsHist, ShardMergeBitIdenticalAcrossThreadCounts) {
   obs::stats_reset();
 }
 
-TEST(ObsHist, ExposeMetricsIsPrometheusText) {
-  obs::stats_reset();
-  obs::bo_count(obs::BoCounter::evals, 3);
-  obs::bo_count(obs::BoCounter::fail_dc, 1);
-  obs::hist_record(obs::Stage::dc, 1500);
-  obs::hist_record(obs::Stage::dc, 1500);
-  obs::hist_record(obs::Stage::dc, 40000);
-
-  std::ostringstream os;
-  obs::expose_metrics(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("# TYPE kato_evals_total counter\nkato_evals_total 3\n"),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_fail_dc_total 1\n"), std::string::npos);
-  EXPECT_NE(s.find("# TYPE kato_newton_iters_total counter"),
-            std::string::npos);
-  EXPECT_NE(s.find("# TYPE kato_stage_latency_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_stage_latency_seconds_bucket{stage=\"dc\",le=\""),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_stage_latency_seconds_bucket{stage=\"dc\","
-                   "le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_stage_latency_seconds_count{stage=\"dc\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_stage_latency_seconds_sum{stage=\"dc\"} "),
-            std::string::npos);
-  // Empty stages still expose their +Inf/_sum/_count triple.
-  EXPECT_NE(s.find("kato_stage_latency_seconds_count{stage=\"gp_fit\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(s.find("kato_stage_latency_seconds_count{stage=\"kat_fit\"} 0\n"),
-            std::string::npos);
-
-  // Structural pass: every line is a comment or `name[{labels}] value` with
-  // a parseable number — what a Prometheus scraper requires.
-  std::istringstream lines(s);
-  std::string line;
-  while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    if (line[0] == '#') {
-      EXPECT_EQ(line.rfind("# TYPE kato_", 0), 0u) << line;
-      continue;
-    }
-    EXPECT_EQ(line.rfind("kato_", 0), 0u) << line;
-    const auto space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string value = line.substr(space + 1);
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    EXPECT_EQ(*end, '\0') << line;
-    const auto brace = line.find('{');
-    if (brace != std::string::npos) {
-      EXPECT_EQ(line[space - 1], '}') << line;
-    }
-  }
-  obs::stats_reset();
-}
-
 // --- Run journal (writer and helpers) --------------------------------------
 
 TEST(ObsJournal, JsonHelpersGoldens) {
@@ -753,26 +692,6 @@ TEST(ObsJournal, RunIdsAreProcessUnique) {
   const auto a = obs::journal_next_run_id();
   const auto b = obs::journal_next_run_id();
   EXPECT_LT(a, b);
-}
-
-TEST(ObsJournal, RunLogEnvFollowsSinkDiscipline) {
-  // KATO_RUN_LOG goes through the same sink_from_env gate as
-  // KATO_STATS/KATO_TRACE: full-string parse, whitespace edges rejected.
-  unsetenv("KATO_RUN_LOG");
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", " run.jsonl", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "run.jsonl\t", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "-", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_RUN_LOG"), "-");
-  setenv("KATO_RUN_LOG", "run.jsonl", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_RUN_LOG"), "run.jsonl");
-  unsetenv("KATO_RUN_LOG");
 }
 
 // --- Off-path bit-identity (slow) ------------------------------------------
@@ -890,6 +809,8 @@ void check_journaled_run(const std::string& deck_name, bool fom = false) {
   EXPECT_NE(begin.find("\"method\":\"KATO\""), std::string::npos);
   EXPECT_NE(begin.find("\"seed\":5"), std::string::npos);
   EXPECT_NE(begin.find("\"config\":{"), std::string::npos);
+  EXPECT_NE(begin.find("\"env\":{\"KATO_THREADS\":{"), std::string::npos);
+  EXPECT_NE(begin.find("\"threads\":"), std::string::npos);
   EXPECT_NE(begin.find("\"iterations\":5"), std::string::npos);
 
   EXPECT_NE(events[1].find("\"phase\":\"doe\""), std::string::npos);

@@ -1,5 +1,5 @@
-// Fault-tolerant evaluation pipeline: KATO_FAULT / KATO_EVAL_DEADLINE_MS /
-// KATO_RECOVERY parse discipline, the deterministic splitmix64 fault stream,
+// Fault-tolerant evaluation pipeline: the KATO_FAULT spec grammar, the
+// deterministic splitmix64 fault stream,
 // a fault-injection matrix forcing every recovery path (DC homotopy, DC
 // pseudo-transient, transient step-floor + device fallback, sparse LU
 // re-pivot, GP jitter retry, deadline kill) with its obs counter, batch
@@ -88,7 +88,7 @@ util::FaultSpec spec(util::FaultSite site, double rate, std::uint64_t seed) {
 
 }  // namespace
 
-// --- KATO_FAULT / KATO_EVAL_DEADLINE_MS parse discipline --------------------
+// --- KATO_FAULT spec grammar -------------------------------------------------
 
 TEST(FaultEnv, ParsesWellFormedSpecs) {
   const auto a = util::parse_fault_spec("dc:singular:1:42");
@@ -130,41 +130,6 @@ TEST(FaultEnv, RejectsMalformedSpecsWholesale) {
   EXPECT_FALSE(util::parse_fault_spec(" dc:singular:1:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:1 ").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular: 1:1").has_value());
-}
-
-TEST(FaultEnv, FaultFromEnvWarnsAndDisablesOnBadValue) {
-  unsetenv("KATO_FAULT");
-  EXPECT_FALSE(util::fault_from_env().has_value());
-  setenv("KATO_FAULT", "dc:singular:one:1", 1);
-  EXPECT_FALSE(util::fault_from_env().has_value());
-  setenv("KATO_FAULT", "tran:nan_device:1:99", 1);
-  const auto spec = util::fault_from_env();
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->site, util::FaultSite::tran_nan_device);
-  EXPECT_EQ(spec->seed, 99u);
-  unsetenv("KATO_FAULT");
-}
-
-TEST(FaultEnv, DeadlineParseIsStrictPositiveInteger) {
-  EXPECT_EQ(util::parse_deadline_ms("500"), 500u);
-  EXPECT_EQ(util::parse_deadline_ms("1"), 1u);
-  EXPECT_FALSE(util::parse_deadline_ms(nullptr).has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("0").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("-5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("+5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("12ms").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("1.5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms(" 12").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("12 ").has_value());
-
-  unsetenv("KATO_EVAL_DEADLINE_MS");
-  EXPECT_FALSE(util::deadline_ms_from_env().has_value());
-  setenv("KATO_EVAL_DEADLINE_MS", "0", 1);
-  EXPECT_FALSE(util::deadline_ms_from_env().has_value());
-  setenv("KATO_EVAL_DEADLINE_MS", "250", 1);
-  EXPECT_EQ(util::deadline_ms_from_env(), 250u);
-  unsetenv("KATO_EVAL_DEADLINE_MS");
 }
 
 TEST(FaultEnv, StreamIsAPureFunctionOfSeedAndIndex) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -290,32 +291,87 @@ TEST(FmtDouble, PinnedRenderings) {
 
 class SparseVsDense : public ::testing::TestWithParam<const char*> {};
 
-void compare_metrics(const ckt::SizingCircuit& circuit,
-                     const std::vector<double>& x) {
-  std::optional<std::vector<double>> sparse;
-  std::optional<std::vector<double>> dense;
-  {
-    ScopedEnv env("KATO_SPARSE", "1");
-    sparse = circuit.evaluate(x);
+/// The analyses NetlistCircuit::evaluate runs on `elab`, with the solve path
+/// forced through the request fields.
+struct PathRun {
+  sim::DcResult op;
+  sim::AcSweep ac;
+  sim::TranResult tran;
+};
+
+PathRun run_path(const net::Elaboration& elab, sim::MnaSolver solver) {
+  PathRun r;
+  sim::DcOptions dc;
+  dc.temp = elab.temperature;
+  dc.solver = solver;
+  r.op = sim::solve_dc(elab.circuit, dc);
+  if (!r.op.converged) return r;
+  if (!elab.freqs.empty())
+    r.ac = sim::solve_ac(elab.circuit, r.op, elab.freqs, solver);
+  if (elab.tran.present) {
+    sim::TranOptions topts;
+    topts.tstep = elab.tran.tstep;
+    topts.tstop = elab.tran.tstop;
+    topts.fixed_step = elab.tran.fixed_step;
+    topts.backward_euler = elab.tran.backward_euler;
+    topts.temp = elab.temperature;
+    topts.solver = solver;
+    topts.initial_conditions = elab.tran.ics;
+    r.tran = sim::solve_tran(elab.circuit, topts, &r.op);
   }
-  {
-    ScopedEnv env("KATO_SPARSE", "0");
-    dense = circuit.evaluate(x);
+  return r;
+}
+
+void expect_vectors_near(const la::Vector& a, const la::Vector& b,
+                         const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(a[i], b[i], 1e-9) << what << " entry " << i;
+}
+
+/// Every analysis agrees between the two solve paths at `x`: DC operating
+/// point, each AC point (relative, gains reach 1e4) and each transient
+/// sample on the same accepted time grid (up to rounding).
+void compare_paths(const ckt::NetlistCircuit& circuit,
+                   const std::vector<double>& x) {
+  const auto elab = circuit.elaborate(x);
+  const PathRun sparse = run_path(elab, sim::MnaSolver::sparse);
+  const PathRun dense = run_path(elab, sim::MnaSolver::dense);
+  ASSERT_EQ(sparse.op.converged, dense.op.converged);
+  if (!sparse.op.converged) return;
+  expect_vectors_near(sparse.op.node_voltage, dense.op.node_voltage, "dc v");
+  expect_vectors_near(sparse.op.vsource_current, dense.op.vsource_current,
+                      "dc i");
+  ASSERT_EQ(sparse.ac.ok, dense.ac.ok);
+  ASSERT_EQ(sparse.ac.node_voltage.size(), dense.ac.node_voltage.size());
+  for (std::size_t f = 0; f < sparse.ac.node_voltage.size(); ++f)
+    for (std::size_t n = 0; n < sparse.ac.node_voltage[f].size(); ++n) {
+      const auto a = sparse.ac.node_voltage[f][n];
+      const auto b = dense.ac.node_voltage[f][n];
+      EXPECT_LE(std::abs(a - b), 1e-9 * std::max(1.0, std::abs(b)))
+          << "ac point " << f << " node " << n;
+    }
+  ASSERT_EQ(sparse.tran.ok, dense.tran.ok) << sparse.tran.reason << " / "
+                                           << dense.tran.reason;
+  // The step controller sees last-bit differences, so accepted times agree
+  // to rounding, not bit for bit.
+  ASSERT_EQ(sparse.tran.n_points(), dense.tran.n_points());
+  for (std::size_t t = 0; t < sparse.tran.n_points(); ++t) {
+    EXPECT_NEAR(sparse.tran.time[t], dense.tran.time[t],
+                1e-9 * dense.tran.time.back())
+        << "tran point " << t;
+    expect_vectors_near(sparse.tran.node_voltage[t],
+                        dense.tran.node_voltage[t], "tran v");
   }
-  ASSERT_EQ(sparse.has_value(), dense.has_value());
-  if (!sparse) return;
-  ASSERT_EQ(sparse->size(), dense->size());
-  for (std::size_t j = 0; j < sparse->size(); ++j)
-    EXPECT_NEAR((*sparse)[j], (*dense)[j], 1e-9) << "metric " << j;
 }
 
 TEST_P(SparseVsDense, Opamp2DcAcMetrics) {
   const auto circuit = ckt::NetlistCircuit::from_file(deck_path("opamp2.cir"),
                                                       ckt::pdk_by_name(GetParam()));
-  compare_metrics(*circuit, circuit->expert_design());
+  compare_paths(*circuit, circuit->expert_design());
   util::Rng rng(77);
   for (int i = 0; i < 8; ++i)
-    compare_metrics(*circuit, rng.uniform_vec(circuit->dim()));
+    compare_paths(*circuit, rng.uniform_vec(circuit->dim()));
 }
 
 TEST_P(SparseVsDense, BufferTranMetrics) {
@@ -325,10 +381,10 @@ TEST_P(SparseVsDense, BufferTranMetrics) {
   const auto expert = circuit->evaluate(circuit->expert_design());
   ASSERT_TRUE(expert);
   EXPECT_TRUE(circuit->feasible(*expert));
-  compare_metrics(*circuit, circuit->expert_design());
+  compare_paths(*circuit, circuit->expert_design());
   util::Rng rng(78);
   for (int i = 0; i < 4; ++i)
-    compare_metrics(*circuit, rng.uniform_vec(circuit->dim()));
+    compare_paths(*circuit, rng.uniform_vec(circuit->dim()));
 }
 
 TEST_P(SparseVsDense, LadderTranMetrics) {
@@ -339,10 +395,10 @@ TEST_P(SparseVsDense, LadderTranMetrics) {
   const auto elab = circuit->elaborate(circuit->expert_design());
   EXPECT_GE(elab.circuit.n_nodes(), 100u);
   EXPECT_GE(elab.circuit.mna_size(), sim::k_mna_sparse_crossover);
-  compare_metrics(*circuit, circuit->expert_design());
+  compare_paths(*circuit, circuit->expert_design());
   util::Rng rng(79);
   for (int i = 0; i < 2; ++i)
-    compare_metrics(*circuit, rng.uniform_vec(circuit->dim()));
+    compare_paths(*circuit, rng.uniform_vec(circuit->dim()));
 }
 
 TEST_P(SparseVsDense, RawAnalysesAgreeOnBuffer) {
