@@ -319,6 +319,30 @@ int main(int argc, char** argv) {
               << "x\n";
   }
 
+  // Untraced pool dispatch latency at 4 threads: 128 trivial items as one
+  // flat parallel_for, and as 4 outer items that each dispatch 32 nested
+  // ones to idle workers.  The work is nothing, so the rows are the cost of
+  // waking workers, claiming chunks and waiting for completion.
+  {
+    ThreadsEnv threads("4");
+    std::vector<double> slots(128, 0.0);
+    auto touch = [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) slots[i] += 1.0;
+    };
+    bench_ab(
+        "pool_dispatch_flat_q128",
+        [&] { util::parallel_for(slots.size(), touch); },
+        "pool_dispatch_nested_q128", [&] {
+          util::parallel_for(4, [&](std::size_t o0, std::size_t o1) {
+            for (std::size_t o = o0; o < o1; ++o)
+              util::parallel_for(32, [&](std::size_t b, std::size_t e) {
+                touch(o * 32 + b, o * 32 + e);
+              });
+          });
+        });
+    sink(slots[0]);
+  }
+
   // Per-point vs batched prediction: the ratio is the headline number.
   double loop_ms = 0.0;
   double batch_ms = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -17,6 +18,15 @@ namespace kato::bo {
 namespace {
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
+
+/// Run two independent tasks as the two items of one parallel_for, so they
+/// overlap on the pool; at one thread `first` runs, then `second`.
+void run_both(const std::function<void()>& first,
+              const std::function<void()>& second) {
+  util::parallel_for(2, [&](std::size_t b, std::size_t e) {
+    for (std::size_t task = b; task < e; ++task) (task == 0 ? first : second)();
+  });
+}
 
 // --- Run-journal helpers ---------------------------------------------------
 // Journal emission is value-free: these helpers only read optimizer state
@@ -357,8 +367,20 @@ struct Surrogates {
     // has run yet) — recorded in the journal's gp payload.
     const bool eff_hyper = hyper || !fitted;
     const bool warm = eff_hyper && fitted;
-    self->refit(x, y, rng, hyper);
-    if (kat) kat->refit(x, y, rng, hyper);
+    KATO_OBS_SPAN("surrogate_refit");
+    if (kat) {
+      // Both models train on the same data and neither reads the other, so
+      // they fit as two tasks at once.  The self model's training draws
+      // exactly one split() per metric (MultiGp::fit): it gets a copy of
+      // the stream, and KAT-GP draws after those draws, as in serial order.
+      util::Rng self_rng = rng;
+      if (eff_hyper)
+        for (std::size_t m = 0; m < self->n_metrics(); ++m) (void)rng.split();
+      run_both([&] { self->refit(x, y, self_rng, hyper); },
+               [&] { kat->refit(x, y, rng, hyper); });
+    } else {
+      self->refit(x, y, rng, hyper);
+    }
     fitted = true;
     if (!state.journal_on() || gp == nullptr) return "";
     return gp_json(*gp, eff_hyper, warm);
@@ -567,7 +589,11 @@ TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
   src.metric_model = std::make_shared<gp::MultiGp>(
       circuit.n_metrics(), [&] { return make_kernel(kind, circuit.dim(), fit_rng); });
   src.metric_model->set_data(src.x, src.y);
-  src.metric_model->fit(fit, fit_rng);
+  // The metric fit draws one split() per metric (MultiGp::fit): it gets a
+  // copy of the stream, and the FOM model draws after those draws, as in
+  // serial order.  Then the two independent fits run at once.
+  util::Rng metric_rng = fit_rng;
+  for (std::size_t m = 0; m < circuit.n_metrics(); ++m) (void)fit_rng.split();
 
   // Single-output view for FOM-mode transfer: model -FOM (minimization).
   la::Matrix neg_fom(foms.size(), 1);
@@ -575,7 +601,8 @@ TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
   src.fom_model = std::make_shared<gp::MultiGp>(
       1, [&] { return make_kernel(kind, circuit.dim(), fit_rng); });
   src.fom_model->set_data(src.x, neg_fom);
-  src.fom_model->fit(fit, fit_rng);
+  run_both([&] { src.metric_model->fit(fit, metric_rng); },
+           [&] { src.fom_model->fit(fit, fit_rng); });
   return src;
 }
 

@@ -36,10 +36,9 @@ void sanitize_traces(std::vector<std::vector<double>>& traces, bool minimize) {
 
 /// Run fn(i) for every seed index.  Fans out across the worker pool only
 /// when there are enough seeds to fill it — with fewer seeds the serial
-/// loop leaves each run's *inner* parallelism (GP fits, batch candidate
-/// evaluation) free to use the pool instead, which nested fan-out would
-/// force inline.  Either route writes slot i from fn(i) only, so results
-/// are identical.
+/// loop gives each run's *inner* parallelism (GP fits, batch candidate
+/// evaluation) the whole pool.  Either route writes slot i from fn(i) only,
+/// so results are identical.
 void for_each_seed(std::size_t count,
                    const std::function<void(std::size_t)>& fn) {
   if (count >= util::thread_count()) {

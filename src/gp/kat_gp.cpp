@@ -467,16 +467,17 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
   const std::size_t q = xq.rows();
   const std::size_t m_s = source_->n_metrics();
 
-  // Encode every query (cheap MLP forwards) into one block.
-  nn::Mlp::Cache enc_cache;
-  la::Matrix enc;
-  for (std::size_t i = 0; i < q; ++i) {
-    const auto row = xq.row(i);
-    la::Vector xin(row.begin(), row.end());
-    const la::Vector e = encoder_.forward(xin, enc_cache);
-    if (enc.empty()) enc = la::Matrix(q, e.size());
-    enc.set_row(i, e);
-  }
+  // Encode every query into one block; queries are independent, so the
+  // MLP forwards run on the pool.
+  la::Matrix enc(q, encoder_.out_dim());
+  util::parallel_for(q, [&](std::size_t i0, std::size_t i1) {
+    nn::Mlp::Cache enc_cache;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const auto row = xq.row(i);
+      la::Vector xin(row.begin(), row.end());
+      enc.set_row(i, encoder_.forward(xin, enc_cache));
+    }
+  });
 
   // Batched source posterior: one dispatch over every source metric's
   // query rows through the triangular-solve core of predict_std_batch.
@@ -486,24 +487,26 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
     source_->metric(k).predict_std_rows(enc, q0, q1, preds[k]);
   });
 
-  // Decoder + Delta-method variance per candidate (cheap MLP arithmetic).
+  // Decoder + Delta-method variance per candidate, on the pool.
   const double noise = std::exp(log_noise_);
   std::vector<std::vector<GpPrediction>> out(q);
-  nn::Mlp::Cache dec_cache;
-  la::Vector mu(m_s);
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t k = 0; k < m_s; ++k) mu[k] = preds[k][i].mean;
-    const la::Vector mean_t = decoder_.forward(mu, dec_cache);
-    const la::Matrix jac = decoder_.jacobian(dec_cache);
-    out[i].resize(m_t_);
-    for (std::size_t m = 0; m < m_t_; ++m) {
-      double var = noise;
-      for (std::size_t k = 0; k < m_s; ++k)
-        var += jac(m, k) * jac(m, k) * preds[k][i].var;
-      out[i][m].mean = mean_t[m] * y_sd_[m] + y_mean_[m];
-      out[i][m].var = var * y_sd_[m] * y_sd_[m];
+  util::parallel_for(q, [&](std::size_t i0, std::size_t i1) {
+    nn::Mlp::Cache dec_cache;
+    la::Vector mu(m_s);
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t k = 0; k < m_s; ++k) mu[k] = preds[k][i].mean;
+      const la::Vector mean_t = decoder_.forward(mu, dec_cache);
+      const la::Matrix jac = decoder_.jacobian(dec_cache);
+      out[i].resize(m_t_);
+      for (std::size_t m = 0; m < m_t_; ++m) {
+        double var = noise;
+        for (std::size_t k = 0; k < m_s; ++k)
+          var += jac(m, k) * jac(m, k) * preds[k][i].var;
+        out[i][m].mean = mean_t[m] * y_sd_[m] + y_mean_[m];
+        out[i][m].var = var * y_sd_[m] * y_sd_[m];
+      }
     }
-  }
+  });
   return out;
 }
 

@@ -1,10 +1,9 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,29 +17,30 @@ namespace {
 
 constexpr std::size_t k_min_cap = 4;
 
-thread_local bool t_on_pool_thread = false;
-/// Depth of parallel_for frames on this thread.  The pool runs exactly one
-/// job at a time, so any nested call — from a pool worker *or* from the
-/// submitting thread's own chunk — must run inline: a second submission
-/// would overwrite the in-flight job and orphan its unclaimed chunks.
-thread_local int t_parallel_depth = 0;
-
-/// One parallel_for invocation: a fixed chunk list plus a claim counter.
-/// Chunk boundaries are computed by the caller (and depend only on the
-/// requested worker count), so which physical thread executes a chunk never
-/// affects results — fn writes disjoint state per chunk.
+/// One parallel_for invocation: a fixed chunk list whose claim and
+/// completion counts the pool mutex guards.  Chunk boundaries are computed
+/// by the caller (and depend only on n and the worker count), so which
+/// thread executes a chunk never affects results — fn writes disjoint state
+/// per chunk.  The job lives in the caller's frame, which returns only after
+/// the last chunk has finished.
 struct Job {
   const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
   std::vector<std::exception_ptr> errors;
+  std::uint64_t id = 0;  ///< submission order: a larger id is a newer job
+  std::size_t next = 0;  ///< first unclaimed chunk
+  std::size_t done = 0;  ///< finished chunks
 };
 
-/// Persistent worker pool.  Workers are spawned lazily up to thread_cap()-1
-/// (the caller always executes chunks too) and parked on a condition variable
-/// between jobs.  Only one job is in flight at a time: parallel_for is called
-/// from the main thread, and nested calls from workers run inline.
+/// Persistent worker pool running any number of jobs at once.  Workers are
+/// spawned lazily up to thread_cap()-1 (the caller always executes chunks
+/// too) and parked on a condition variable while no job has an unclaimed
+/// chunk.  An idle worker claims from the newest open job.  A caller first
+/// claims its own job's chunks; while the rest finish elsewhere it helps
+/// only jobs newer than its own (typically the nested jobs its chunks
+/// submitted), so it never picks up a long outer task and returns late.
+/// A thread only ever waits on a job newer than every chunk below it on its
+/// stack, so the waits cannot form a cycle.
 class Pool {
  public:
   static Pool& instance() {
@@ -48,35 +48,37 @@ class Pool {
     return pool;
   }
 
-  void run(const std::shared_ptr<Job>& job, std::size_t helpers) {
-    // One submission at a time: the pool has a single job slot, so
-    // concurrent submitters (distinct non-pool threads) serialize here
-    // instead of overwriting each other's in-flight job.
-    std::lock_guard<std::mutex> submit_lock(submit_mu_);
-    // Queue-depth gauge brackets the job: the Perfetto counter track shows
-    // how many chunks were outstanding while the pool was busy, dropping
-    // back to zero at completion (pool-utilization view of the fan-out).
-    obs::trace_counter("pool_queue_depth",
-                       static_cast<std::uint64_t>(job->chunks.size()));
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ensure_workers(helpers);
-      job_ = job;
-      ++generation_;
-    }
-    cv_work_.notify_all();
-
-    work(*job);  // the caller is a full participant
-
+  void run(Job& job) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return job->done.load() == job->chunks.size(); });
-    job_.reset();
-    obs::trace_counter("pool_queue_depth", 0);
+    const std::size_t extra = job.chunks.size() - 1;
+    ensure_workers(extra);
+    job.id = ++last_id_;
+    open_.push_back(&job);
+    set_unclaimed(unclaimed_ + job.chunks.size());
+    // Wake one sleeping worker per chunk beyond the caller's own.  Waiting
+    // callers may help too (this job is newer than theirs); wake them only
+    // when the workers do not cover it.
+    const std::size_t woken = std::min(extra, idle_);
+    idle_ -= woken;
+    wakes_ += woken;
+    for (std::size_t i = 0; i < woken; ++i) cv_work_.notify_one();
+    if (woken < extra && waiting_ > 0) cv_wait_.notify_all();
+
+    while (job.next < job.chunks.size()) run_chunk(job, lock);
+    while (job.done < job.chunks.size()) {
+      if (!open_.empty() && open_.back()->id > job.id) {
+        run_chunk(*open_.back(), lock);
+      } else {
+        ++waiting_;
+        cv_wait_.wait(lock);
+        --waiting_;
+      }
+    }
   }
 
   ~Pool() {
     {
-      std::unique_lock<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
     }
     cv_work_.notify_all();
@@ -97,50 +99,58 @@ class Pool {
     }
   }
 
-  static void work(Job& job) {
-    const std::size_t n_chunks = job.chunks.size();
-    for (std::size_t c = job.next.fetch_add(1); c < n_chunks;
-         c = job.next.fetch_add(1)) {
+  /// The queue-depth gauge: unclaimed chunks summed over every open job.
+  void set_unclaimed(std::size_t n) {
+    unclaimed_ = n;
+    obs::trace_counter("pool_queue_depth", static_cast<double>(n));
+  }
+
+  /// Claim the next chunk of `job` and run it with the lock released.
+  void run_chunk(Job& job, std::unique_lock<std::mutex>& lock) {
+    const std::size_t c = job.next++;
+    if (job.next == job.chunks.size())
+      open_.erase(std::find(open_.begin(), open_.end(), &job));
+    set_unclaimed(unclaimed_ - 1);
+    lock.unlock();
+    {
       KATO_OBS_SPAN("pool_chunk");
       try {
         (*job.fn)(job.chunks[c].first, job.chunks[c].second);
       } catch (...) {
         job.errors[c] = std::current_exception();
       }
-      job.done.fetch_add(1);
     }
+    lock.lock();
+    // The caller may destroy the job as soon as it sees the last chunk
+    // done, so nothing below may touch it.
+    if (++job.done == job.chunks.size() && waiting_ > 0) cv_wait_.notify_all();
   }
 
   void worker_loop() {
-    t_on_pool_thread = true;
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::shared_ptr<Job> job;  // keeps the job alive past the caller's wait
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        job = job_;
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      if (!open_.empty()) {
+        run_chunk(*open_.back(), lock);
+      } else {
+        // A submitter hands a sleeping worker a wake token and takes it off
+        // the idle count, so back-to-back jobs do not both count on it.
+        ++idle_;
+        cv_work_.wait(lock, [&] { return stop_ || wakes_ > 0; });
+        if (wakes_ > 0) --wakes_;
       }
-      if (!job) continue;
-      work(*job);
-      // The mutex round-trip orders this worker's done-updates against the
-      // caller's predicate check: without it the notify could fire in the
-      // window between the caller evaluating the predicate (false) and
-      // blocking, and the caller would sleep forever.
-      { std::lock_guard<std::mutex> lock(mu_); }
-      cv_done_.notify_all();
     }
   }
 
-  std::mutex submit_mu_;  ///< serializes whole submissions
-  std::mutex mu_;         ///< guards job_/generation_/workers_/stop_
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
+  std::mutex mu_;  ///< guards everything below and every Job's next/done
+  std::condition_variable cv_work_;  ///< idle workers
+  std::condition_variable cv_wait_;  ///< callers waiting for their job
   std::vector<std::thread> workers_;
-  std::shared_ptr<Job> job_;
-  std::uint64_t generation_ = 0;
+  std::vector<Job*> open_;  ///< jobs with unclaimed chunks, oldest first
+  std::uint64_t last_id_ = 0;
+  std::size_t unclaimed_ = 0;
+  std::size_t idle_ = 0;   ///< sleeping workers not yet handed a wake
+  std::size_t wakes_ = 0;  ///< wake tokens not yet taken
+  std::size_t waiting_ = 0;
   bool stop_ = false;
 };
 
@@ -161,15 +171,10 @@ std::size_t thread_count() {
   return n ? std::min(static_cast<std::size_t>(*n), thread_cap()) : 1;
 }
 
-bool on_pool_thread() { return t_on_pool_thread; }
-
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  // Nested calls run inline without reading KATO_THREADS.
-  const bool nested = t_on_pool_thread || t_parallel_depth > 0;
-  const std::size_t workers =
-      n < 2 || nested ? 1 : std::min(thread_count(), n);
+  const std::size_t workers = n < 2 ? 1 : std::min(thread_count(), n);
   if (workers <= 1) {
     fn(0, n);
     return;
@@ -178,18 +183,16 @@ void parallel_for(std::size_t n,
   // Contiguous chunks, same partition formula as the historical per-call
   // implementation: results must depend on the chunk boundaries only through
   // disjoint writes, never on which pool thread ran a chunk.
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
+  Job job;
+  job.fn = &fn;
   const std::size_t chunk = (n + workers - 1) / workers;
   for (std::size_t begin = 0; begin < n; begin += chunk)
-    job->chunks.emplace_back(begin, std::min(begin + chunk, n));
-  job->errors.resize(job->chunks.size());
+    job.chunks.emplace_back(begin, std::min(begin + chunk, n));
+  job.errors.resize(job.chunks.size());
 
-  ++t_parallel_depth;
-  Pool::instance().run(job, job->chunks.size() - 1);
-  --t_parallel_depth;
+  Pool::instance().run(job);
 
-  for (auto& e : job->errors)
+  for (auto& e : job.errors)
     if (e) std::rethrow_exception(e);
 }
 

@@ -11,9 +11,12 @@
 //
 // Workers live in a persistent process-wide pool: the first parallel_for call
 // spawns them and later calls reuse them, so the per-call cost is a wakeup
-// instead of a thread spawn+join.  parallel_for called from inside a pool
-// worker runs inline (sequentially) — nested parallelism stays deterministic
-// and cannot deadlock the pool.
+// instead of a thread spawn+join.  The pool runs several jobs at once: a
+// parallel_for called from inside a chunk hands its chunks to idle workers,
+// and its caller helps only jobs newer than its own while it waits, so
+// nesting cannot deadlock.  Chunk boundaries depend only on n and
+// thread_count(), never on nesting or on which thread runs a chunk, so a
+// nested call is as bit-identical as a top-level one.
 
 #include <cstddef>
 #include <functional>
@@ -32,15 +35,11 @@ std::size_t thread_cap();
 /// the knob with setenv().
 std::size_t thread_count();
 
-/// True when the calling thread is a pool worker (used to run nested
-/// parallel_for calls inline).
-bool on_pool_thread();
-
 /// Invoke fn(begin, end) over a partition of [0, n) using thread_count()
-/// workers.  Runs inline (no pool dispatch) when the worker count is 1, n is
-/// too small to be worth splitting, or the caller is itself a pool worker.
-/// fn must only write state disjoint across index ranges.  Exceptions thrown
-/// by fn are rethrown in the caller (first failing chunk wins).
+/// workers.  Runs inline as fn(0, n) when the worker count is 1 or n < 2;
+/// otherwise it may be called from any thread, a pool worker included.  fn
+/// must only write state disjoint across index ranges.  Exceptions thrown by
+/// fn are rethrown in the caller (first failing chunk wins).
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "bo/acquisition.hpp"
 #include "bo/drivers.hpp"
@@ -11,6 +13,36 @@
 namespace bo = kato::bo;
 namespace gp = kato::gp;
 namespace ckt = kato::ckt;
+namespace la = kato::la;
+
+namespace {
+
+/// RAII guard for the KATO_THREADS knob.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) { setenv("KATO_THREADS", value, 1); }
+  ~ThreadsEnv() { unsetenv("KATO_THREADS"); }
+};
+
+/// Byte-for-byte equality of two double sequences.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Every hyperparameter and noise variance of a MultiGp, in metric order.
+std::vector<double> fitted_params(const gp::MultiGp& model) {
+  std::vector<double> out;
+  for (std::size_t m = 0; m < model.n_metrics(); ++m) {
+    const auto theta = model.metric(m).kernel().params();
+    out.insert(out.end(), theta.begin(), theta.end());
+    out.push_back(model.metric(m).noise_var());
+  }
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Acquisition functions.
@@ -152,6 +184,39 @@ TEST(Mace, SelectBatchDistinctAndSized) {
 }
 
 // ---------------------------------------------------------------------------
+// Surrogates.
+
+TEST(Surrogate, SelfModelTrainingDrawsOneSplitPerMetric) {
+  // Surrogates::refit hands the self model a copy of the shared stream and
+  // advances the original by one split() per metric before KAT-GP trains
+  // alongside it; that is bit-identical to serial order only while
+  // GpSurrogate training draws exactly those splits and nothing else.
+  const std::size_t n_metrics = 3;
+  kato::util::Rng init(11);
+  gp::GpFitOptions fit{5, 0.05, 64, 1e-6};
+  bo::GpSurrogate surr(2, n_metrics, bo::KernelKind::neuk, fit, fit, init);
+  la::Matrix x(12, 2);
+  la::Matrix y(12, n_metrics);
+  for (std::size_t i = 0; i < 12; ++i) {
+    x(i, 0) = init.uniform();
+    x(i, 1) = init.uniform();
+    for (std::size_t m = 0; m < n_metrics; ++m)
+      y(i, m) = std::sin(3.0 * x(i, 0) + static_cast<double>(m)) + x(i, 1);
+  }
+  auto expect_draws = [&](bool train_hyper, std::size_t splits) {
+    kato::util::Rng used(21);
+    kato::util::Rng expected = used;
+    surr.refit(x, y, used, train_hyper);
+    for (std::size_t m = 0; m < splits; ++m) (void)expected.split();
+    EXPECT_TRUE(used.engine() == expected.engine())
+        << "train_hyper=" << train_hyper << " splits=" << splits;
+  };
+  expect_draws(false, n_metrics);  // the first refit always trains
+  expect_draws(true, n_metrics);
+  expect_draws(false, 0);          // posterior-only refresh draws nothing
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end drivers on the real circuits (small budgets).
 
 TEST(Drivers, KatoConstrainedFindsFeasibleTwoStage) {
@@ -236,6 +301,58 @@ TEST(Drivers, TransferSourceAndStlRun) {
   // STL weights were initialized with the sample counts and only grow.
   EXPECT_GE(r.stl_w_kat, 60.0);
   EXPECT_GE(r.stl_w_self, 60.0);
+}
+
+TEST(Drivers, TransferRunBitIdenticalAcrossThreadCounts) {
+  // The source's metric and FOM fits run at the same time, and so do the
+  // self-GP and KAT-GP fits of every STL refit; both pairs share one RNG
+  // stream, handed out in serial order before the fits start.  Everything a
+  // transfer run produces must keep the same bits at 1, 2, 3 and 4 threads.
+  auto src_circuit = ckt::make_circuit("opamp2", "180nm");
+  auto tgt_circuit = ckt::make_circuit("opamp2", "40nm");
+  bo::BoConfig cfg;
+  cfg.n_init = 30;
+  cfg.iterations = 3;
+  cfg.gp_initial.iterations = 10;
+  cfg.gp_refit.iterations = 4;
+  cfg.kat.init_iterations = 20;
+  cfg.kat.refit_iterations = 10;
+  cfg.nsga.population = 16;
+  cfg.nsga.generations = 4;
+  struct Run {
+    std::vector<double> source;  ///< source data, hyperparameters, noise
+    std::vector<double> trace;
+    std::vector<double> xs;      ///< x_history, flattened
+    std::vector<double> weights;
+  };
+  auto run = [&](const char* threads) {
+    ThreadsEnv env(threads);
+    const auto src =
+        bo::build_transfer_source(*src_circuit, 40, bo::KernelKind::rbf, 7);
+    Run r;
+    r.source = src.x.data();
+    r.source.insert(r.source.end(), src.y.data().begin(), src.y.data().end());
+    for (const auto* model : {src.metric_model.get(), src.fom_model.get()}) {
+      const auto p = fitted_params(*model);
+      r.source.insert(r.source.end(), p.begin(), p.end());
+    }
+    const auto res = bo::run_constrained(
+        *tgt_circuit, bo::ConstrainedMethod::kato, cfg, 8, &src);
+    r.trace = res.trace;
+    for (const auto& x : res.x_history) r.xs.insert(r.xs.end(), x.begin(), x.end());
+    r.weights = {res.stl_w_kat, res.stl_w_self};
+    return r;
+  };
+  const Run serial = run("1");
+  EXPECT_EQ(serial.trace.size(), cfg.n_init + cfg.batch * cfg.iterations);
+  for (const char* threads : {"2", "3", "4"}) {
+    SCOPED_TRACE(threads);
+    const Run threaded = run(threads);
+    EXPECT_TRUE(same_bits(serial.source, threaded.source));
+    EXPECT_TRUE(same_bits(serial.trace, threaded.trace));
+    EXPECT_TRUE(same_bits(serial.xs, threaded.xs));
+    EXPECT_TRUE(same_bits(serial.weights, threaded.weights));
+  }
 }
 
 TEST(Drivers, TlmboRequiresSource) {

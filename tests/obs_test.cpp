@@ -822,10 +822,11 @@ void check_journaled_run(const std::string& deck_name, bool fom = false) {
     EXPECT_NE(events[i].find("\"trace\":["), std::string::npos);
     EXPECT_NE(events[i].find("\"best\":"), std::string::npos);
     // FOM mode has no constraints: every valid design counts as feasible.
-    if (fom)
+    if (fom) {
       EXPECT_EQ(journal_uint(events[i], "n_feasible"),
                 journal_uint(events[i], "n_valid"))
           << events[i];
+    }
     ++n_iteration;
   }
   EXPECT_EQ(n_iteration, 1u + cfg.iterations);

@@ -425,7 +425,7 @@ TEST(ThreadCount, ParsesEnvironment) {
   }
 }
 
-TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
+TEST(ParallelFor, NestedCallsRunOnPoolWithoutDeadlock) {
   ThreadsEnv env("4");
   const std::size_t outer = 24;
   const std::size_t inner = 16;
@@ -437,6 +437,43 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
       });
   });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
+}
+
+TEST(ParallelFor, ThreeLevelNestingStress) {
+  // Nested calls hand their chunks to idle workers, and a waiting caller
+  // helps newer jobs.  Three levels at every thread count must cover each
+  // index exactly once, finish, and carry an exception thrown by an
+  // innermost chunk out of the outermost call.
+  const std::size_t l1 = 7;
+  const std::size_t l2 = 5;
+  const std::size_t l3 = 9;
+  for (const char* threads : {"1", "2", "3", "4"}) {
+    SCOPED_TRACE(threads);
+    ThreadsEnv env(threads);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<int> hits(l1 * l2 * l3, 0);
+      kato::util::parallel_for(l1, [&](std::size_t a0, std::size_t a1) {
+        for (std::size_t a = a0; a < a1; ++a)
+          kato::util::parallel_for(l2, [&](std::size_t b0, std::size_t b1) {
+            for (std::size_t b = b0; b < b1; ++b)
+              kato::util::parallel_for(l3, [&](std::size_t c0, std::size_t c1) {
+                for (std::size_t c = c0; c < c1; ++c)
+                  hits[(a * l2 + b) * l3 + c] += 1;
+              });
+          });
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1) << i;
+    }
+    EXPECT_THROW(
+        kato::util::parallel_for(l1, [&](std::size_t, std::size_t) {
+          kato::util::parallel_for(l2, [&](std::size_t, std::size_t) {
+            kato::util::parallel_for(l3, [&](std::size_t c0, std::size_t c1) {
+              if (c0 <= l3 / 2 && l3 / 2 < c1) throw std::runtime_error("inner");
+            });
+          });
+        }),
+        std::runtime_error);
+  }
 }
 
 // ---------------------------------------------------------------------------
