@@ -343,7 +343,8 @@ class RunState {
 
 /// The surrogates of one run and their STL weights (Alg. 1).  `self` is
 /// the target-only model (NeukGP, RBF GP or the TLMBO residual GP); `kat`
-/// is the KAT-GP (Sec. 3.2), present only when transferring.
+/// is the KAT-GP (Sec. 3.2), present only when transferring, and then
+/// always alongside a GP self model (`gp` set).
 struct Surrogates {
   std::unique_ptr<Surrogate> self;
   GpSurrogate* gp = nullptr;  ///< `self` as a GP, for the journal's gp payload
@@ -370,13 +371,10 @@ struct Surrogates {
     KATO_OBS_SPAN("surrogate_refit");
     if (kat) {
       // Both models train on the same data and neither reads the other, so
-      // they fit as two tasks at once.  The self model's training draws
-      // exactly one split() per metric (MultiGp::fit): it gets a copy of
-      // the stream, and KAT-GP draws after those draws, as in serial order.
-      util::Rng self_rng = rng;
-      if (eff_hyper)
-        for (std::size_t m = 0; m < self->n_metrics(); ++m) (void)rng.split();
-      run_both([&] { self->refit(x, y, self_rng, hyper); },
+      // they fit as two tasks at once.  The self GP's training streams are
+      // split off first and KAT-GP draws after them, as in serial order.
+      auto streams = gp->training_streams(rng, hyper);
+      run_both([&] { gp->refit(x, y, streams, hyper); },
                [&] { kat->refit(x, y, rng, hyper); });
     } else {
       self->refit(x, y, rng, hyper);
@@ -589,11 +587,10 @@ TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
   src.metric_model = std::make_shared<gp::MultiGp>(
       circuit.n_metrics(), [&] { return make_kernel(kind, circuit.dim(), fit_rng); });
   src.metric_model->set_data(src.x, src.y);
-  // The metric fit draws one split() per metric (MultiGp::fit): it gets a
-  // copy of the stream, and the FOM model draws after those draws, as in
-  // serial order.  Then the two independent fits run at once.
-  util::Rng metric_rng = fit_rng;
-  for (std::size_t m = 0; m < circuit.n_metrics(); ++m) (void)fit_rng.split();
+  // The metric fit's streams are split off here, and the FOM model draws
+  // after them, as in serial order.  Then the two independent fits run at
+  // once.
+  auto metric_streams = src.metric_model->split_streams(fit_rng);
 
   // Single-output view for FOM-mode transfer: model -FOM (minimization).
   la::Matrix neg_fom(foms.size(), 1);
@@ -601,7 +598,7 @@ TransferSource build_transfer_source(const ckt::SizingCircuit& circuit,
   src.fom_model = std::make_shared<gp::MultiGp>(
       1, [&] { return make_kernel(kind, circuit.dim(), fit_rng); });
   src.fom_model->set_data(src.x, neg_fom);
-  run_both([&] { src.metric_model->fit(fit, metric_rng); },
+  run_both([&] { src.metric_model->fit(fit, metric_streams); },
            [&] { src.fom_model->fit(fit, fit_rng); });
   return src;
 }

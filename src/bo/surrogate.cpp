@@ -48,6 +48,18 @@ std::string GpSurrogate::name() const {
 
 void GpSurrogate::refit(const la::Matrix& x, const la::Matrix& y, util::Rng& rng,
                         bool train_hyper) {
+  auto streams = training_streams(rng, train_hyper);
+  refit(x, y, streams, train_hyper);
+}
+
+std::vector<util::Rng> GpSurrogate::training_streams(util::Rng& rng,
+                                                     bool train_hyper) const {
+  if (!train_hyper && fitted_) return {};
+  return model_.split_streams(rng);
+}
+
+void GpSurrogate::refit(const la::Matrix& x, const la::Matrix& y,
+                        std::vector<util::Rng>& streams, bool train_hyper) {
   const bool hyper = train_hyper || !fitted_;
   // When hyper-training follows, defer the posterior rebuild: fit() always
   // refreshes at its end, so refreshing inside set_data too would factor the
@@ -60,7 +72,7 @@ void GpSurrogate::refit(const la::Matrix& x, const la::Matrix& y, util::Rng& rng
     // optimum as its starting point — the warm-start path the obs counter
     // tracks against cold initial fits.
     if (fitted_) obs::bo_count(obs::BoCounter::gp_warm_starts);
-    model_.fit(fitted_ ? refit_ : initial_fit_, rng);
+    model_.fit(fitted_ ? refit_ : initial_fit_, streams);
     fitted_ = true;
   }
 }

@@ -46,8 +46,17 @@ class GpSurrogate final : public Surrogate {
               util::Rng& rng);
 
   std::string name() const override;
+  /// Same as refit(x, y, streams, train_hyper) with
+  /// streams = training_streams(rng, train_hyper).
   void refit(const la::Matrix& x, const la::Matrix& y, util::Rng& rng,
              bool train_hyper = true) override;
+  /// The RNG streams refit(..., train_hyper) trains on, split from `rng`:
+  /// one per metric when it trains hyperparameters, none otherwise.
+  std::vector<util::Rng> training_streams(util::Rng& rng, bool train_hyper) const;
+  /// Refit on streams from training_streams(rng, train_hyper), drawing from
+  /// no other stream.
+  void refit(const la::Matrix& x, const la::Matrix& y,
+             std::vector<util::Rng>& streams, bool train_hyper);
   std::vector<gp::GpPrediction> predict(std::span<const double> x) const override;
   std::vector<std::vector<gp::GpPrediction>> predict_batch(
       const la::Matrix& xq) const override;

@@ -34,20 +34,15 @@ void sanitize_traces(std::vector<std::vector<double>>& traces, bool minimize) {
       if (!std::isfinite(v)) v = minimize ? fill : v;
 }
 
-/// Run fn(i) for every seed index.  Fans out across the worker pool only
-/// when there are enough seeds to fill it — with fewer seeds the serial
-/// loop gives each run's *inner* parallelism (GP fits, batch candidate
-/// evaluation) the whole pool.  Either route writes slot i from fn(i) only,
-/// so results are identical.
+/// Run fn(i) for every seed index, fanned out across the worker pool; each
+/// run's inner parallelism (GP fits, batch candidate evaluation) goes to
+/// whichever workers are idle.  Slot i is written from fn(i) only, so results
+/// are identical at any thread count.
 void for_each_seed(std::size_t count,
                    const std::function<void(std::size_t)>& fn) {
-  if (count >= util::thread_count()) {
-    util::parallel_for(count, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  }
+  util::parallel_for(count, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+  });
 }
 
 /// Bracket a seed series in the run journal: `series_begin` announces the

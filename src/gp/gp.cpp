@@ -404,15 +404,26 @@ void MultiGp::set_data(const la::Matrix& x, const la::Matrix& y, bool refresh) {
 }
 
 void MultiGp::fit(const GpFitOptions& opts, util::Rng& rng) {
-  // Deterministic parallel training: every metric gets its own RNG stream,
+  auto streams = split_streams(rng);
+  fit(opts, streams);
+}
+
+std::vector<util::Rng> MultiGp::split_streams(util::Rng& rng) const {
+  std::vector<util::Rng> streams;
+  streams.reserve(gps_.size());
+  for (std::size_t m = 0; m < gps_.size(); ++m) streams.push_back(rng.split());
+  return streams;
+}
+
+void MultiGp::fit(const GpFitOptions& opts, std::vector<util::Rng>& streams) {
+  // Deterministic parallel training: every metric trains on its own stream,
   // split from the caller's in metric order *before* any work starts, so the
   // draw sequences — and therefore the fitted hyperparameters — are
   // bit-identical whether the metrics run on 1 thread or many.
-  std::vector<util::Rng> rngs;
-  rngs.reserve(gps_.size());
-  for (std::size_t m = 0; m < gps_.size(); ++m) rngs.push_back(rng.split());
+  if (streams.size() != gps_.size())
+    throw std::invalid_argument("MultiGp::fit: one RNG stream per metric");
   util::parallel_for(gps_.size(), [&](std::size_t m0, std::size_t m1) {
-    for (std::size_t m = m0; m < m1; ++m) gps_[m].fit(opts, rngs[m]);
+    for (std::size_t m = m0; m < m1; ++m) gps_[m].fit(opts, streams[m]);
   });
 }
 

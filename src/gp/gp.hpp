@@ -203,8 +203,16 @@ class MultiGp {
   /// Train every metric's GP.  The metrics are fitted concurrently across
   /// KATO_THREADS pool workers; each metric receives its own RNG stream
   /// split from `rng` up front (in metric order), so the result is
-  /// bit-identical at any thread count.
+  /// bit-identical at any thread count.  Same as fit(opts, streams) with
+  /// streams = split_streams(rng).
   void fit(const GpFitOptions& opts, util::Rng& rng);
+  /// The per-metric streams fit(opts, rng) trains on, split from `rng` in
+  /// metric order.
+  std::vector<util::Rng> split_streams(util::Rng& rng) const;
+  /// Train metric m on streams[m], drawing nothing from any other stream, so
+  /// a caller can split the streams first and let other work draw from the
+  /// parent stream while this fit runs.
+  void fit(const GpFitOptions& opts, std::vector<util::Rng>& streams);
 
   std::vector<GpPrediction> predict(std::span<const double> x) const;
   /// Batched prediction: out[q][m] is metric m's posterior at query row q,

@@ -37,10 +37,11 @@ struct Job {
 /// too) and parked on a condition variable while no job has an unclaimed
 /// chunk.  An idle worker claims from the newest open job.  A caller first
 /// claims its own job's chunks; while the rest finish elsewhere it helps
-/// only jobs newer than its own (typically the nested jobs its chunks
-/// submitted), so it never picks up a long outer task and returns late.
-/// A thread only ever waits on a job newer than every chunk below it on its
-/// stack, so the waits cannot form a cycle.
+/// only jobs newer than its own.  A thread therefore only ever waits on a
+/// job newer than every job whose chunk is below it on its stack, so the
+/// waits cannot form a cycle.  A newer job need not be nested under the
+/// caller's, so a waiting caller may pick up an unrelated job's chunk (say,
+/// another seed's model fit) and return well after its own job finished.
 class Pool {
  public:
   static Pool& instance() {
@@ -50,29 +51,19 @@ class Pool {
 
   void run(Job& job) {
     std::unique_lock<std::mutex> lock(mu_);
-    const std::size_t extra = job.chunks.size() - 1;
-    ensure_workers(extra);
+    ensure_workers(job.chunks.size() - 1);
     job.id = ++last_id_;
     open_.push_back(&job);
     set_unclaimed(unclaimed_ + job.chunks.size());
-    // Wake one sleeping worker per chunk beyond the caller's own.  Waiting
-    // callers may help too (this job is newer than theirs); wake them only
-    // when the workers do not cover it.
-    const std::size_t woken = std::min(extra, idle_);
-    idle_ -= woken;
-    wakes_ += woken;
-    for (std::size_t i = 0; i < woken; ++i) cv_work_.notify_one();
-    if (woken < extra && waiting_ > 0) cv_wait_.notify_all();
+    cv_work_.notify_all();
+    cv_wait_.notify_all();
 
     while (job.next < job.chunks.size()) run_chunk(job, lock);
     while (job.done < job.chunks.size()) {
-      if (!open_.empty() && open_.back()->id > job.id) {
+      if (!open_.empty() && open_.back()->id > job.id)
         run_chunk(*open_.back(), lock);
-      } else {
-        ++waiting_;
+      else
         cv_wait_.wait(lock);
-        --waiting_;
-      }
     }
   }
 
@@ -123,34 +114,25 @@ class Pool {
     lock.lock();
     // The caller may destroy the job as soon as it sees the last chunk
     // done, so nothing below may touch it.
-    if (++job.done == job.chunks.size() && waiting_ > 0) cv_wait_.notify_all();
+    if (++job.done == job.chunks.size()) cv_wait_.notify_all();
   }
 
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      if (!open_.empty()) {
-        run_chunk(*open_.back(), lock);
-      } else {
-        // A submitter hands a sleeping worker a wake token and takes it off
-        // the idle count, so back-to-back jobs do not both count on it.
-        ++idle_;
-        cv_work_.wait(lock, [&] { return stop_ || wakes_ > 0; });
-        if (wakes_ > 0) --wakes_;
-      }
+    while (true) {
+      cv_work_.wait(lock, [&] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      run_chunk(*open_.back(), lock);
     }
   }
 
   std::mutex mu_;  ///< guards everything below and every Job's next/done
-  std::condition_variable cv_work_;  ///< idle workers
-  std::condition_variable cv_wait_;  ///< callers waiting for their job
+  std::condition_variable cv_work_;  ///< idle workers: a job opened
+  std::condition_variable cv_wait_;  ///< waiting callers: a job opened or finished
   std::vector<std::thread> workers_;
   std::vector<Job*> open_;  ///< jobs with unclaimed chunks, oldest first
   std::uint64_t last_id_ = 0;
   std::size_t unclaimed_ = 0;
-  std::size_t idle_ = 0;   ///< sleeping workers not yet handed a wake
-  std::size_t wakes_ = 0;  ///< wake tokens not yet taken
-  std::size_t waiting_ = 0;
   bool stop_ = false;
 };
 

@@ -13,10 +13,10 @@
 // spawns them and later calls reuse them, so the per-call cost is a wakeup
 // instead of a thread spawn+join.  The pool runs several jobs at once: a
 // parallel_for called from inside a chunk hands its chunks to idle workers,
-// and its caller helps only jobs newer than its own while it waits, so
-// nesting cannot deadlock.  Chunk boundaries depend only on n and
-// thread_count(), never on nesting or on which thread runs a chunk, so a
-// nested call is as bit-identical as a top-level one.
+// and its caller helps only jobs newer than its own while it waits, so the
+// waits cannot cycle and nesting cannot deadlock.  Chunk boundaries depend
+// only on n and thread_count(), never on nesting or on which thread runs a
+// chunk, so a nested call is as bit-identical as a top-level one.
 
 #include <cstddef>
 #include <functional>

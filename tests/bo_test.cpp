@@ -186,11 +186,11 @@ TEST(Mace, SelectBatchDistinctAndSized) {
 // ---------------------------------------------------------------------------
 // Surrogates.
 
-TEST(Surrogate, SelfModelTrainingDrawsOneSplitPerMetric) {
-  // Surrogates::refit hands the self model a copy of the shared stream and
-  // advances the original by one split() per metric before KAT-GP trains
-  // alongside it; that is bit-identical to serial order only while
-  // GpSurrogate training draws exactly those splits and nothing else.
+TEST(Surrogate, TrainingStreamsOnePerMetricWhenTraining) {
+  // Surrogates::refit splits the self GP's streams off the shared RNG before
+  // KAT-GP trains alongside it.  training_streams must hand out exactly the
+  // draws refit(rng) takes: one stream per metric when hyperparameters
+  // train (the first refit always does), none on a posterior-only refresh.
   const std::size_t n_metrics = 3;
   kato::util::Rng init(11);
   gp::GpFitOptions fit{5, 0.05, 64, 1e-6};
@@ -203,17 +203,16 @@ TEST(Surrogate, SelfModelTrainingDrawsOneSplitPerMetric) {
     for (std::size_t m = 0; m < n_metrics; ++m)
       y(i, m) = std::sin(3.0 * x(i, 0) + static_cast<double>(m)) + x(i, 1);
   }
-  auto expect_draws = [&](bool train_hyper, std::size_t splits) {
+  auto expect_draws = [&](bool train_hyper, std::size_t count) {
     kato::util::Rng used(21);
-    kato::util::Rng expected = used;
+    kato::util::Rng split = used;
+    EXPECT_EQ(surr.training_streams(split, train_hyper).size(), count);
     surr.refit(x, y, used, train_hyper);
-    for (std::size_t m = 0; m < splits; ++m) (void)expected.split();
-    EXPECT_TRUE(used.engine() == expected.engine())
-        << "train_hyper=" << train_hyper << " splits=" << splits;
+    EXPECT_TRUE(used.engine() == split.engine()) << "train_hyper=" << train_hyper;
   };
   expect_draws(false, n_metrics);  // the first refit always trains
   expect_draws(true, n_metrics);
-  expect_draws(false, 0);          // posterior-only refresh draws nothing
+  expect_draws(false, 0);
 }
 
 // ---------------------------------------------------------------------------
